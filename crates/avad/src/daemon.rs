@@ -9,7 +9,7 @@
 //! | `POST /vms`                  | `attach_vm_with_faults` + [`PolicyDefaults`] layering |
 //! | `DELETE /vms/{id}`           | `detach_vm` (drains the lane)         |
 //! | `POST /vms/{id}/run`         | `ClWorkload::run` over the VM's guest library |
-//! | `POST /vms/{id}/migrate`     | `migrate_vm_fresh` (journal replay)   |
+//! | `POST /vms/{id}/migrate`     | `migrate_vm_fresh` (snapshot restore) |
 //! | `POST /vms/{id}/rebalance`   | `rebalance_vm`                        |
 //! | `POST /vms/{id}/crash`       | `crash_vm_server` (test hook)         |
 //! | `GET /vms`, `/vms/{id}/stats`| router/server/memory stats snapshots  |

@@ -167,7 +167,7 @@ fn lifecycle_create_run_migrate_rebalance_delete() {
         assert_eq!(stats.field_u64("slot"), Some(slot), "{}", stats.body);
     }
 
-    // Migrate (journal replay onto a fresh private device — the VM
+    // Migrate (snapshot restore onto a fresh private device — the VM
     // leaves the pool, so its slot becomes null) and run again.
     let migrated = alice.migrate_vm(vm).unwrap();
     assert_eq!(migrated.status, 200, "{}", migrated.body);

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ava_guest::{GuestConfig, GuestLibrary};
@@ -17,8 +17,8 @@ use ava_hypervisor::{
     VmPolicy, VmStats,
 };
 use ava_server::{
-    shared_handler, ApiHandler, ApiServer, CallJournal, HandlerOutput, MemoryManager, MemoryStats,
-    MigrationImage, ServerStats, SharedHandler,
+    shared_handler, ApiHandler, ApiServer, CallJournal, HandlerOutput, JournalEntry, MemoryManager,
+    MemoryStats, MigrationImage, ServerStats, SharedHandler,
 };
 use ava_spec::{ApiDescriptor, FunctionDesc};
 use ava_telemetry::{
@@ -44,6 +44,9 @@ pub enum StackError {
     NotPooled,
     /// The pool-slot index is out of range.
     UnknownSlot(usize),
+    /// The VM was declared permanently unavailable: its respawn budget is
+    /// exhausted, or a relocation failed and could not be rolled back.
+    Unavailable(VmId),
 }
 
 impl std::fmt::Display for StackError {
@@ -55,6 +58,7 @@ impl std::fmt::Display for StackError {
             Self::UnknownVm(id) => write!(f, "unknown VM {id}"),
             Self::NotPooled => write!(f, "stack has no device pool (pool_size is 0)"),
             Self::UnknownSlot(slot) => write!(f, "pool slot {slot} out of range"),
+            Self::Unavailable(id) => write!(f, "VM {id} is permanently unavailable"),
         }
     }
 }
@@ -225,7 +229,7 @@ pub struct RecoveryStats {
 /// telemetry registry as `recovery.*`. They live at stack level — not on
 /// the [`ApiServer`] — precisely because they must survive the servers
 /// they describe.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct RecoveryCounters {
     respawns: Counter,
     replayed_calls: Counter,
@@ -290,16 +294,13 @@ impl ApiHandler for TimedHandler {
     }
 }
 
-/// One shared device in the pool: the handler every server bound to this
-/// slot executes against, plus load gauges.
+/// One shared device in the pool: the [`Home`] every server bound to this
+/// slot executes against, plus load gauges. Its accountant is the memory
+/// half of the slot's load.
 struct PoolSlot {
-    handler: SharedHandler,
+    home: Home,
     device_time_ms: Gauge,
     vms: Gauge,
-    /// Residency/swap accounting for every VM bound to this slot — the
-    /// memory half of the slot's load. Shared by all the slot's servers so
-    /// quota and capacity pressure see the device's true footprint.
-    memory: Arc<MemoryManager>,
 }
 
 /// Load/occupancy snapshot of one pool slot (see [`ApiStack::pool_stats`]).
@@ -332,10 +333,13 @@ impl PoolState {
                     device_time_ms: device_time_ms.clone(),
                 }));
                 PoolSlot {
-                    handler,
+                    home: Home {
+                        slot: Some(i),
+                        handler,
+                        memory: Arc::new(MemoryManager::new(mem_capacity)),
+                    },
                     device_time_ms,
                     vms: Gauge::new(),
-                    memory: Arc::new(MemoryManager::new(mem_capacity)),
                 }
             })
             .collect();
@@ -353,7 +357,7 @@ impl PoolState {
                 &slot.device_time_ms,
             );
             registry.register_gauge(&format!("pool.slot{i}.vms"), &slot.vms);
-            slot.memory.register(registry, &format!("slot{i}"));
+            slot.home.memory.register(registry, &format!("slot{i}"));
         }
     }
 
@@ -396,7 +400,7 @@ impl PoolState {
                     .iter()
                     .enumerate()
                     .map(|(i, &t)| {
-                        let resident = self.slots[i].memory.resident_bytes() as f64;
+                        let resident = self.slots[i].home.memory.resident_bytes() as f64;
                         (1.0 + t) * (1.0 + resident)
                     })
                     .collect();
@@ -422,89 +426,39 @@ impl PoolState {
     fn slot_of(&self, vm: VmId) -> Option<usize> {
         self.placements.lock().get(&vm).copied()
     }
+
+    /// The [`Home`] slot `slot` offers its VMs; `None` when out of range.
+    fn home(&self, slot: usize) -> Option<Home> {
+        self.slots.get(slot).map(|s| s.home.clone())
+    }
+
+    /// Moves a VM's binding to `to` (`None` takes it off the pool),
+    /// keeping the placement map and the per-slot occupancy gauges in step.
+    fn rebind(&self, vm: VmId, to: Option<usize>) {
+        let mut placements = self.placements.lock();
+        let from = match to {
+            Some(slot) => placements.insert(vm, slot),
+            None => placements.remove(&vm),
+        };
+        if let Some(slot) = from {
+            self.slots[slot].vms.add(-1.0);
+        }
+        if let Some(slot) = to {
+            self.slots[slot].vms.add(1.0);
+        }
+    }
 }
 
-/// Migrates one pooled VM to `dst`, reusing the crash-recovery machinery:
-/// pause, quiesce, snapshot, free the source slot's device objects, replay
-/// onto the destination slot's shared handler, re-home the router lane,
-/// bump the cache epoch, resume. Shared by [`ApiStack::rebalance_vm`] and
-/// the supervisor's load watchdog.
-#[allow(clippy::too_many_arguments)]
-fn rebalance(
-    hypervisor: &Hypervisor,
-    descriptor: &Arc<ApiDescriptor>,
-    config: &StackConfig,
-    vms: &Mutex<HashMap<VmId, VmRuntime>>,
-    telemetry: &Mutex<Telemetry>,
-    pool: &PoolState,
-    vm: VmId,
-    dst: usize,
-) -> Result<()> {
-    if dst >= pool.slots.len() {
-        return Err(StackError::UnknownSlot(dst));
-    }
-    let src = pool.slot_of(vm).ok_or(StackError::UnknownVm(vm))?;
-    if src == dst {
-        return Ok(());
-    }
-    hypervisor.pause_vm(vm)?;
-    if let Err(e) = hypervisor.wait_quiescent(vm, Duration::from_secs(30)) {
-        let _ = hypervisor.resume_vm(vm);
-        return Err(e.into());
-    }
-
-    let mut vms_guard = vms.lock();
-    let runtime = vms_guard.get_mut(&vm).ok_or(StackError::UnknownVm(vm))?;
-    runtime.halt();
-    let image = {
-        let mut server = runtime.server.lock();
-        let image = server.snapshot();
-        // Frees this VM's objects on the source slot's device; slot-mates
-        // are untouched (their servers hold their own handle tables).
-        // Teardown also drops the VM's residency registrations from the
-        // source slot's memory manager.
-        server.teardown();
-        image
-    };
-    let mut restored = ApiServer::restore_with(
-        Arc::clone(descriptor),
-        Arc::clone(&pool.slots[dst].handler),
-        &image,
-    )?;
-    restored.set_telemetry(telemetry.lock().with_vm(vm));
-    restored.set_payload_cache(
-        config.guest.payload_cache_entries,
-        config.guest.payload_cache_min_bytes,
-    );
-    // Residency re-homes with the VM: the restored server re-registers
-    // every surviving buffer (and re-parks still-swapped ones) with the
-    // destination slot's accountant; the quota travels unchanged.
-    restored.set_memory(Arc::clone(&pool.slots[dst].memory), vm);
-    restored.set_mem_quota(runtime.mem_quota);
-    runtime.memory = Arc::clone(&pool.slots[dst].memory);
-    restored.set_journal(Arc::clone(&runtime.journal));
-    runtime.server = Arc::new(Mutex::new(restored));
-    runtime.spawn();
-    // The restored server's payload mirror starts empty; a new epoch makes
-    // the guest drop its digest cache instead of eating NACKs.
-    runtime.cache_epoch += 1;
-    let _ = runtime
-        .transport
-        .send(&Message::Control(ControlMessage::CacheEpoch(
-            runtime.cache_epoch,
-        )));
-    drop(vms_guard);
-
-    hypervisor.set_vm_slot(vm, Some(dst))?;
-    pool.placements.lock().insert(vm, dst);
-    pool.slots[src].vms.add(-1.0);
-    pool.slots[dst].vms.add(1.0);
-    hypervisor.resume_vm(vm)?;
-    telemetry
-        .lock()
-        .with_vm(vm)
-        .event(Tier::Pool, EventKind::Rebalance, 0, pack_slots(src, dst));
-    Ok(())
+/// Where a VM's server executes: the device handler it dispatches against
+/// and the residency accountant it reports into. Pooled VMs share their
+/// slot's pair (quota and capacity pressure see the device's true
+/// footprint); private VMs own both.
+#[derive(Clone)]
+struct Home {
+    /// The pool slot the pair belongs to; `None` for a private device.
+    slot: Option<usize>,
+    handler: SharedHandler,
+    memory: Arc<MemoryManager>,
 }
 
 /// Per-VM host-side runtime: the serving thread plus shared server state.
@@ -526,11 +480,10 @@ struct VmRuntime {
     journal: Arc<StdMutex<CallJournal>>,
     /// Respawns consumed so far (against [`StackConfig::max_respawns`]).
     respawns: u32,
-    /// The residency accountant this VM's server reports into: the slot's
-    /// shared manager for pooled VMs, a private one otherwise. Owned here —
-    /// like the journal — because recovery must clear and rebuild the VM's
-    /// registrations on whatever server replaces the crashed one.
-    memory: Arc<MemoryManager>,
+    /// The device and residency accountant this VM's server runs against.
+    /// Owned here — like the journal — because relocation must rebuild the
+    /// VM on (or roll it back onto) a home that outlives any one server.
+    home: Home,
     /// Effective device-memory quota (policy override or stack default),
     /// re-applied to every server rebuilt for this VM.
     mem_quota: Option<u64>,
@@ -599,24 +552,62 @@ fn serve_loop(
     }
 }
 
-/// Everything the supervisor thread needs to notice a dead API server and
-/// rebuild it: the crash-recovery half of the stack, shared between
-/// [`ApiStack`] and its background sweep.
-struct Supervisor {
-    hypervisor: Arc<Hypervisor>,
-    descriptor: Arc<ApiDescriptor>,
-    config: StackConfig,
-    handler_factory: Arc<dyn Fn(usize) -> Box<dyn ApiHandler> + Send + Sync>,
-    vms: Arc<Mutex<HashMap<VmId, VmRuntime>>>,
-    telemetry: Arc<Mutex<Telemetry>>,
-    recovery: RecoveryCounters,
-    pool: Option<Arc<PoolState>>,
-    /// SLO monitor, populated by `ApiStack::set_telemetry` (objectives
-    /// need the registry to window over).
-    slo: Arc<Mutex<Option<Arc<SloMonitor>>>>,
+/// Where [`StackCore::relocate`] reads the VM's state from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StateSource {
+    /// A live server, moved on purpose: pause the lane, wait for
+    /// quiescence, halt the server (draining its backlog), then take its
+    /// `RecordLog` image plus buffer payloads ([`ApiServer::snapshot`]).
+    Snapshot,
+    /// A dead server: sever its channel, reap its thread, and re-execute
+    /// the VM's call journal ([`ApiServer::replay_journal`]); the router
+    /// gets a new router↔server channel.
+    Journal,
 }
 
-impl Supervisor {
+/// Where [`StackCore::relocate`] rebuilds the VM's server.
+enum Target {
+    /// Pool slot `i`'s shared device and accountant.
+    Slot(usize),
+    /// A caller-supplied private device, with a new private accountant.
+    /// A pooled VM leaves the pool.
+    Private(Box<dyn ApiHandler>),
+    /// Where the VM already lives: its slot's device if pooled, otherwise
+    /// a fresh instance from the stack's factory (a private device dies
+    /// with its server). The accountant is kept either way.
+    Same,
+}
+
+/// A VM's state as captured from a [`StateSource`], ready to be rebuilt on
+/// a [`Home`].
+enum Captured {
+    Image(MigrationImage),
+    Journal(Vec<JournalEntry>),
+}
+
+/// How long a planned relocation waits for the paused lane to drain.
+const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The state [`ApiStack`] and its supervisor thread share: everything
+/// needed to attach a VM, notice a dead API server, and relocate either.
+struct StackCore {
+    hypervisor: Hypervisor,
+    descriptor: Arc<ApiDescriptor>,
+    config: StackConfig,
+    handler_factory: Box<dyn Fn(usize) -> Box<dyn ApiHandler> + Send + Sync>,
+    vms: Mutex<HashMap<VmId, VmRuntime>>,
+    telemetry: Mutex<Telemetry>,
+    recovery: RecoveryCounters,
+    pool: Option<PoolState>,
+    /// SLO monitor, populated by `ApiStack::set_telemetry` (objectives
+    /// need the registry to window over).
+    slo: Mutex<Option<Arc<SloMonitor>>>,
+}
+
+impl StackCore {
+    /// The supervisor thread: crash sweep every
+    /// [`StackConfig::supervision_interval`], SLO/brownout/load watchdog
+    /// every [`StackConfig::rebalance_interval`].
     fn run(&self, stop: &AtomicBool) {
         let mut last_check = Instant::now();
         let mut last_time: Vec<f64> = self
@@ -649,14 +640,7 @@ impl Supervisor {
                 if let Some(bw) = self.config.brownout {
                     self.drive_brownout(bw, &violations, &mut brownout_stage, &mut brownout_shed);
                 }
-                if let Some(pool) = &self.pool {
-                    self.maybe_rebalance(
-                        pool,
-                        self.config.rebalance_threshold_ms,
-                        &mut last_time,
-                        &violations,
-                    );
-                }
+                self.maybe_rebalance(&mut last_time, &violations);
             }
         }
     }
@@ -714,13 +698,10 @@ impl Supervisor {
     /// service quality is the contract; device time is only its proxy.
     /// Only acts when the hot slot has at least two VMs — a lone hot VM
     /// gains nothing from moving to an idle device of equal speed.
-    fn maybe_rebalance(
-        &self,
-        pool: &Arc<PoolState>,
-        threshold_ms: Option<f64>,
-        last: &mut [f64],
-        violations: &[SloViolation],
-    ) {
+    fn maybe_rebalance(&self, last: &mut [f64], violations: &[SloViolation]) {
+        let Some(pool) = &self.pool else {
+            return;
+        };
         // Device time consumed over the window, weighted by resident
         // memory (1 + MiB resident): a slot under memory pressure is
         // hotter than its compute delta alone says, because every further
@@ -734,7 +715,7 @@ impl Supervisor {
                 let cur = s.device_time_ms.get();
                 let d = cur - last[i];
                 last[i] = cur;
-                let resident_mib = s.memory.resident_bytes() as f64 / (1u64 << 20) as f64;
+                let resident_mib = s.home.memory.resident_bytes() as f64 / (1u64 << 20) as f64;
                 d * (1.0 + resident_mib)
             })
             .collect();
@@ -745,7 +726,7 @@ impl Supervisor {
         let hot = match violating {
             Some(slot) => slot,
             None => {
-                let Some(threshold) = threshold_ms else {
+                let Some(threshold) = self.config.rebalance_threshold_ms else {
                     return;
                 };
                 let Some(hot) = (0..deltas.len()).max_by(|&a, &b| {
@@ -787,135 +768,285 @@ impl Supervisor {
                 .min()
         };
         if let Some(vm) = victim {
-            let _ = rebalance(
-                &self.hypervisor,
-                &self.descriptor,
-                &self.config,
-                &self.vms,
-                &self.telemetry,
-                pool,
-                vm,
-                cold,
-            );
+            let _ = self.relocate(vm, StateSource::Snapshot, Target::Slot(cold));
         }
+    }
+
+    /// Runs `f` on an attached VM's runtime.
+    fn with_vm<T>(&self, vm: VmId, f: impl FnOnce(&VmRuntime) -> T) -> Result<T> {
+        let vms = self.vms.lock();
+        vms.get(&vm).map(f).ok_or(StackError::UnknownVm(vm))
     }
 
     /// One pass over every VM: a serving thread that exited without being
-    /// asked to stop is a crashed server, and gets rebuilt in place.
+    /// asked to stop is a crashed server, and gets rebuilt in place from
+    /// its journal.
     fn sweep(&self) {
-        let mut vms = self.vms.lock();
-        for (&vm, runtime) in vms.iter_mut() {
-            let dead = runtime.thread.as_ref().is_some_and(|t| t.is_finished())
-                && !runtime.stop.load(Ordering::Acquire);
-            if dead {
-                self.recover(vm, runtime);
-            }
+        let crashed: Vec<VmId> = self
+            .vms
+            .lock()
+            .iter()
+            .filter(|(_, runtime)| {
+                runtime.thread.as_ref().is_some_and(|t| t.is_finished())
+                    && !runtime.stop.load(Ordering::Acquire)
+            })
+            .map(|(&vm, _)| vm)
+            .collect();
+        for vm in crashed {
+            let _ = self.relocate(vm, StateSource::Journal, Target::Same);
         }
     }
 
-    /// Rebuilds one crashed API server: fresh handler, journal replay to
-    /// reconstruct device state (wire handles re-mint deterministically, so
-    /// the guest's handles stay valid), new router↔server channel, respawn.
-    /// When the respawn budget is exhausted the VM is declared permanently
-    /// unavailable instead, so guests fail fast.
-    fn recover(&self, vm: VmId, runtime: &mut VmRuntime) {
-        // Sever the old channel first: the router parks the lane and
-        // requeues in-flight calls instead of writing into a channel
-        // nobody will ever read again.
-        runtime.transport.close();
-        if let Some(t) = runtime.thread.take() {
-            let _ = t.join();
+    /// A private device: `handler` behind its own mutex, with its own
+    /// residency accountant.
+    fn private_home(&self, handler: Box<dyn ApiHandler>) -> Home {
+        Home {
+            slot: None,
+            handler: shared_handler(handler),
+            memory: Arc::new(MemoryManager::new(self.config.device_mem_capacity)),
         }
-        let telemetry = self.telemetry.lock().with_vm(vm);
-        telemetry.event(Tier::Supervisor, EventKind::ServerCrash, 0, 0);
-        if runtime.respawns >= self.config.max_respawns {
-            self.recovery.failed.inc();
-            let _ = self.hypervisor.mark_unavailable(vm);
-            return;
-        }
-        runtime.respawns += 1;
-        // Pooled VMs recover onto their slot's shared device: the device
-        // itself survived the server crash, but the crashed server's handle
-        // table died with it, so replay re-creates this VM's objects there
-        // (the crashed server's orphaned objects linger until slot
-        // teardown — the price of sharing a device). Private VMs get a
-        // fresh device instance, as before.
-        let handler = match self.pool.as_ref().and_then(|p| p.slot_of(vm)) {
-            Some(slot) => Arc::clone(
-                &self.pool.as_ref().expect("pool exists for placed VM").slots[slot].handler,
-            ),
-            None => shared_handler((self.handler_factory)(0)),
+    }
+
+    /// Builds and configures a VM's API server on `home` — the one place
+    /// that decides what a server is wired with, for a first attach
+    /// (`from` is `None`) and for every relocation alike. Fails only when
+    /// an image cannot be replayed onto `home`'s device.
+    fn build_server(
+        &self,
+        vm: VmId,
+        home: &Home,
+        mem_quota: Option<u64>,
+        journal: &Arc<StdMutex<CallJournal>>,
+        from: Option<&Captured>,
+    ) -> Result<ApiServer> {
+        let descriptor = Arc::clone(&self.descriptor);
+        let handler = Arc::clone(&home.handler);
+        let mut server = match from {
+            Some(Captured::Image(image)) => ApiServer::restore_with(descriptor, handler, image)?,
+            _ => ApiServer::with_shared(descriptor, handler),
         };
-        let mut server = ApiServer::with_shared(Arc::clone(&self.descriptor), handler);
+        let telemetry = self.telemetry.lock().with_vm(vm);
         server.set_telemetry(telemetry.clone());
+        // The server's payload mirror must match the guest's transfer cache
+        // exactly (same capacity, same eligibility floor) — the stack is
+        // the single source of truth for both.
         server.set_payload_cache(
             self.config.guest.payload_cache_entries,
             self.config.guest.payload_cache_min_bytes,
         );
-        // The crashed server's residency registrations describe state that
-        // died with it; wipe them, then let journal replay re-register the
-        // rebuilt allocations (replay runs with the accountant and quota
-        // already attached, so residency is rematerialized exactly as the
-        // original execution produced it).
-        runtime.memory.free_all(vm);
-        server.set_memory(Arc::clone(&runtime.memory), vm);
-        server.set_mem_quota(runtime.mem_quota);
-        let entries = match runtime.journal.lock() {
-            Ok(journal) => journal.entries().to_vec(),
-            Err(poisoned) => poisoned.into_inner().entries().to_vec(),
-        };
-        let replayed = server.replay_journal(&entries);
-        self.recovery.replayed_calls.add(replayed);
-        telemetry.event(Tier::Supervisor, EventKind::JournalReplay, 0, replayed);
-        // Attach the journal only after replay, so replayed calls are not
-        // journaled a second time.
-        server.set_journal(Arc::clone(&runtime.journal));
+        // Pooled accountants are registered per slot (`mem.slot<N>.*`) by
+        // `PoolState::register`; a private one takes over the VM's own
+        // scope whenever it is installed.
+        if let (None, Some(registry)) = (home.slot, telemetry.registry()) {
+            home.memory.register(registry, &format!("vm{vm}"));
+        }
+        // A restored server re-registers every surviving buffer (and
+        // re-parks still-swapped ones) with the accountant here; the quota
+        // travels with the VM.
+        server.set_memory(Arc::clone(&home.memory), vm);
+        server.set_mem_quota(mem_quota);
+        if let Some(Captured::Journal(entries)) = from {
+            // Replay runs with accountant and quota already attached, so
+            // residency — and every quota verdict — is rematerialized
+            // exactly as the original execution produced it.
+            let replayed = server.replay_journal(entries);
+            self.recovery.replayed_calls.add(replayed);
+            telemetry.event(Tier::Supervisor, EventKind::JournalReplay, 0, replayed);
+        }
+        // Attached only now, so replayed calls are not journaled a second
+        // time. The journal keeps accumulating across relocations: a later
+        // crash still replays the full execution and re-mints the same
+        // wire handles.
+        server.set_journal(Arc::clone(journal));
+        Ok(server)
+    }
 
-        let transport = match self.hypervisor.reattach_server(vm) {
-            Ok(t) => t,
-            Err(_) => {
-                self.recovery.failed.inc();
-                let _ = self.hypervisor.mark_unavailable(vm);
-                return;
+    /// Gives up on a VM: guests fail fast with `Unavailable` instead of
+    /// hanging on a lane nobody serves.
+    fn abandon(&self, vm: VmId) {
+        self.recovery.failed.inc();
+        let _ = self.hypervisor.mark_unavailable(vm);
+    }
+
+    /// The one relocation path (§4.3): stop the VM's server, capture its
+    /// state from `source`, free what it held on the source device, rebuild
+    /// it on `target`, re-point the router lane. The guest's transport and
+    /// wire handles survive unchanged. Returns the migration image a
+    /// [`StateSource::Snapshot`] took.
+    ///
+    /// A planned move never strands the VM: the lane it paused is resumed
+    /// on every exit path, and a target that cannot take the image gets
+    /// the VM rolled back onto its source (see [`StackCore::rehome`]).
+    fn relocate(
+        &self,
+        vm: VmId,
+        source: StateSource,
+        target: Target,
+    ) -> Result<Option<MigrationImage>> {
+        let dest = match target {
+            Target::Slot(slot) => {
+                let pool = self.pool.as_ref().ok_or(StackError::NotPooled)?;
+                Some(pool.home(slot).ok_or(StackError::UnknownSlot(slot))?)
+            }
+            Target::Private(handler) => Some(self.private_home(handler)),
+            Target::Same => None,
+        };
+        self.with_vm(vm, |_| ())?;
+        if source == StateSource::Journal {
+            return self.rehome(vm, source, dest);
+        }
+        self.hypervisor.pause_vm(vm)?;
+        let moved = self
+            .hypervisor
+            .wait_quiescent(vm, QUIESCE_TIMEOUT)
+            .map_err(StackError::from)
+            .and_then(|()| self.rehome(vm, source, dest));
+        let resumed = self.hypervisor.resume_vm(vm);
+        let image = moved?;
+        resumed?;
+        Ok(image)
+    }
+
+    /// The body of [`StackCore::relocate`], run with the lane paused and
+    /// drained (planned) or its server dead (crash). `dest` is the resolved
+    /// target; `None` rebuilds in place.
+    fn rehome(
+        &self,
+        vm: VmId,
+        source: StateSource,
+        dest: Option<Home>,
+    ) -> Result<Option<MigrationImage>> {
+        let mut vms = self.vms.lock();
+        let runtime = vms.get_mut(&vm).ok_or(StackError::UnknownVm(vm))?;
+        let telemetry = self.telemetry.lock().with_vm(vm);
+
+        let captured = match source {
+            StateSource::Snapshot => {
+                runtime.halt();
+                let mut server = runtime.server.lock();
+                let image = server.snapshot();
+                // Frees this VM's objects on the source device (slot-mates
+                // hold their own handle tables) and its residency
+                // registrations — before the restore, because a "fresh"
+                // target may sit on the same physical device and must not
+                // hold the VM's footprint twice.
+                server.teardown();
+                Captured::Image(image)
+            }
+            StateSource::Journal => {
+                // Sever the old channel first: the router parks the lane
+                // and requeues in-flight calls instead of writing into a
+                // channel nobody will ever read again.
+                runtime.transport.close();
+                if let Some(t) = runtime.thread.take() {
+                    let _ = t.join();
+                }
+                telemetry.event(Tier::Supervisor, EventKind::ServerCrash, 0, 0);
+                if runtime.respawns >= self.config.max_respawns {
+                    self.abandon(vm);
+                    return Err(StackError::Unavailable(vm));
+                }
+                runtime.respawns += 1;
+                // The dead server's residency registrations describe state
+                // that died with it (on a pool its orphaned device objects
+                // linger until slot teardown — the price of sharing).
+                runtime.home.memory.free_all(vm);
+                let journal = runtime
+                    .journal
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                Captured::Journal(journal.entries().to_vec())
             }
         };
-        if let Some(registry) = telemetry.registry() {
-            transport.register_telemetry(registry, &format!("vm{vm}.server"));
+
+        let dest = dest.unwrap_or_else(|| {
+            let mut home = runtime.home.clone();
+            if home.slot.is_none() {
+                home.handler = shared_handler((self.handler_factory)(0));
+            }
+            home
+        });
+        let build = |home| {
+            self.build_server(
+                vm,
+                home,
+                runtime.mem_quota,
+                &runtime.journal,
+                Some(&captured),
+            )
+        };
+        let (home, server, outcome) = match build(&dest) {
+            Ok(server) => (dest, server, Ok(())),
+            // The target could not take the VM, but its state is still in
+            // hand and the source device has room for it again: put it
+            // back, and hand the caller the error plus a VM that works.
+            Err(e) => match build(&runtime.home) {
+                Ok(server) => (runtime.home.clone(), server, Err(e)),
+                Err(_) => {
+                    self.abandon(vm);
+                    return Err(e);
+                }
+            },
+        };
+
+        if source == StateSource::Journal {
+            let transport = self
+                .hypervisor
+                .reattach_server(vm)
+                .inspect_err(|_| self.abandon(vm))?;
+            if let Some(registry) = telemetry.registry() {
+                transport.register_telemetry(registry, &format!("vm{vm}.server"));
+            }
+            runtime.transport = Arc::from(transport);
         }
         runtime.server = Arc::new(Mutex::new(server));
-        runtime.transport = Arc::from(transport);
-        // The rebuilt payload mirror is empty; announce a new epoch so the
-        // guest drops its digest cache instead of eating a NACK per payload.
+        // The rebuilt server's payload mirror is empty; a new epoch makes
+        // the guest drop its digest cache instead of eating a NACK per
+        // payload. (The NACK/resend path would heal it regardless — replay
+        // only ever sees bytes materialized before recording.)
         runtime.cache_epoch += 1;
         let _ = runtime
             .transport
             .send(&Message::Control(ControlMessage::CacheEpoch(
                 runtime.cache_epoch,
             )));
-        telemetry.event(
-            Tier::Supervisor,
-            EventKind::ServerRespawn,
-            0,
-            u64::from(runtime.respawns),
-        );
-        // Counted only now: observers waiting on `recovery.respawns` must
-        // see the replay/replayed-calls counters already settled.
-        self.recovery.respawns.inc();
+        if source == StateSource::Journal {
+            telemetry.event(
+                Tier::Supervisor,
+                EventKind::ServerRespawn,
+                0,
+                u64::from(runtime.respawns),
+            );
+            // Counted only now — replay counters settled, server not yet
+            // serving — so an observer woken by `recovery.respawns` reads
+            // final numbers.
+            self.recovery.respawns.inc();
+        }
         runtime.spawn();
+
+        let (from, to) = (runtime.home.slot, home.slot);
+        runtime.home = home;
+        if from != to {
+            // The VM's objects now live on another device: the router must
+            // charge its calls there (or to no slot at all).
+            self.hypervisor.set_vm_slot(vm, to)?;
+            if let Some(pool) = &self.pool {
+                pool.rebind(vm, to);
+            }
+            if let (Some(src), Some(dst)) = (from, to) {
+                telemetry.event(Tier::Pool, EventKind::Rebalance, 0, pack_slots(src, dst));
+            }
+        }
+        outcome.map(|()| match captured {
+            Captured::Image(image) => Some(image),
+            Captured::Journal(_) => None,
+        })
     }
 }
 
 /// An assembled AvA stack for one API.
 pub struct ApiStack {
-    hypervisor: Arc<Hypervisor>,
-    descriptor: Arc<ApiDescriptor>,
-    config: StackConfig,
-    handler_factory: Arc<dyn Fn(usize) -> Box<dyn ApiHandler> + Send + Sync>,
-    vms: Arc<Mutex<HashMap<VmId, VmRuntime>>>,
-    telemetry: Arc<Mutex<Telemetry>>,
-    recovery: RecoveryCounters,
-    pool: Option<Arc<PoolState>>,
-    slo: Arc<Mutex<Option<Arc<SloMonitor>>>>,
+    core: Arc<StackCore>,
     supervisor_stop: Arc<AtomicBool>,
     supervisor: Option<std::thread::JoinHandle<()>>,
 }
@@ -943,7 +1074,7 @@ impl ApiStack {
     where
         F: Fn(usize) -> Box<dyn ApiHandler> + Send + Sync + 'static,
     {
-        let hypervisor = Arc::new(Hypervisor::with_config(RouterConfig {
+        let hypervisor = Hypervisor::with_config(RouterConfig {
             scheduler: config.scheduler,
             descriptor: Some(Arc::clone(&descriptor)),
             slot_inflight: config.slot_inflight,
@@ -952,47 +1083,33 @@ impl ApiStack {
             max_queue_age: config.max_queue_age,
             breaker: config.breaker,
             ..RouterConfig::default()
-        }));
-        let handler_factory: Arc<dyn Fn(usize) -> Box<dyn ApiHandler> + Send + Sync> =
-            Arc::new(handler_factory);
-        let pool = (config.pool_size > 0).then(|| {
-            Arc::new(PoolState::new(
-                config.pool_size,
-                &*handler_factory,
-                config.device_mem_capacity,
-            ))
         });
-        let vms = Arc::new(Mutex::new(HashMap::new()));
-        let telemetry = Arc::new(Mutex::new(Telemetry::disabled()));
-        let recovery = RecoveryCounters::default();
-        let slo: Arc<Mutex<Option<Arc<SloMonitor>>>> = Arc::new(Mutex::new(None));
-        let supervisor = Supervisor {
-            hypervisor: Arc::clone(&hypervisor),
-            descriptor: Arc::clone(&descriptor),
-            config,
-            handler_factory: Arc::clone(&handler_factory),
-            vms: Arc::clone(&vms),
-            telemetry: Arc::clone(&telemetry),
-            recovery: recovery.clone(),
-            pool: pool.clone(),
-            slo: Arc::clone(&slo),
-        };
-        let supervisor_stop = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&supervisor_stop);
-        let supervisor = std::thread::Builder::new()
-            .name("ava-supervisor".into())
-            .spawn(move || supervisor.run(&stop))
-            .expect("spawn supervisor thread");
-        ApiStack {
+        let pool = (config.pool_size > 0).then(|| {
+            PoolState::new(
+                config.pool_size,
+                &handler_factory,
+                config.device_mem_capacity,
+            )
+        });
+        let core = Arc::new(StackCore {
             hypervisor,
             descriptor,
             config,
-            handler_factory,
-            vms,
-            telemetry,
-            recovery,
+            handler_factory: Box::new(handler_factory),
+            vms: Mutex::new(HashMap::new()),
+            telemetry: Mutex::new(Telemetry::disabled()),
+            recovery: RecoveryCounters::default(),
             pool,
-            slo,
+            slo: Mutex::new(None),
+        });
+        let supervisor_stop = Arc::new(AtomicBool::new(false));
+        let (supervised, stop) = (Arc::clone(&core), Arc::clone(&supervisor_stop));
+        let supervisor = std::thread::Builder::new()
+            .name("ava-supervisor".into())
+            .spawn(move || supervised.run(&stop))
+            .expect("spawn supervisor thread");
+        ApiStack {
+            core,
             supervisor_stop,
             supervisor: Some(supervisor),
         }
@@ -1003,18 +1120,18 @@ impl ApiStack {
     /// guest/server/transport instrumentation for each VM attached from now
     /// on. Call before [`ApiStack::attach_vm`].
     pub fn set_telemetry(&self, registry: Registry) -> Result<()> {
-        self.recovery.register(&registry);
-        if let Some(pool) = &self.pool {
+        self.core.recovery.register(&registry);
+        if let Some(pool) = &self.core.pool {
             pool.register(&registry);
         }
         // SLO objectives window over the registry, so the monitor can only
         // come alive once one is attached.
-        if let Some(slo_config) = self.config.slo.filter(SloConfig::any_enabled) {
-            *self.slo.lock() = Some(Arc::new(SloMonitor::new(registry.clone(), slo_config)));
+        if let Some(slo_config) = self.core.config.slo.filter(SloConfig::any_enabled) {
+            *self.core.slo.lock() = Some(Arc::new(SloMonitor::new(registry.clone(), slo_config)));
         }
         let telemetry = Telemetry::new(registry);
-        *self.telemetry.lock() = telemetry.clone();
-        self.hypervisor.set_telemetry(telemetry)?;
+        *self.core.telemetry.lock() = telemetry.clone();
+        self.core.hypervisor.set_telemetry(telemetry)?;
         Ok(())
     }
 
@@ -1022,7 +1139,8 @@ impl ApiStack {
     /// configured, telemetry is not attached, or every objective is met.
     /// The rebalance watchdog consults the same list before migrating.
     pub fn slo_violations(&self) -> Vec<SloViolation> {
-        self.slo
+        self.core
+            .slo
             .lock()
             .as_ref()
             .map(|m| m.violations())
@@ -1032,41 +1150,41 @@ impl ApiStack {
     /// Renders the attached registry as a text report; `None` when
     /// telemetry was never attached.
     pub fn telemetry_report(&self) -> Option<String> {
-        self.telemetry.lock().report()
+        self.core.telemetry.lock().report()
     }
 
     /// Renders the attached registry as Chrome-trace / Perfetto JSON;
     /// `None` when telemetry was never attached.
     pub fn export_trace(&self) -> Option<String> {
-        self.telemetry.lock().export_trace()
+        self.core.telemetry.lock().export_trace()
     }
 
     /// Renders the attached registry as Prometheus text exposition;
     /// `None` when telemetry was never attached.
     pub fn export_prometheus(&self) -> Option<String> {
-        self.telemetry.lock().export_prometheus()
+        self.core.telemetry.lock().export_prometheus()
     }
 
     /// The API descriptor this stack serves.
     pub fn descriptor(&self) -> &Arc<ApiDescriptor> {
-        &self.descriptor
+        &self.core.descriptor
     }
 
     /// The hypervisor (for pause/resume/stats).
     pub fn hypervisor(&self) -> &Hypervisor {
-        &self.hypervisor
+        &self.core.hypervisor
     }
 
     /// The configuration this stack was built with.
     pub fn config(&self) -> &StackConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Ids of every currently attached VM, ascending. The daemon-facing
     /// listing primitive: control planes enumerate their tenants' VMs
     /// through this instead of tracking attach/detach themselves.
     pub fn vm_ids(&self) -> Vec<VmId> {
-        let mut ids: Vec<VmId> = self.vms.lock().keys().copied().collect();
+        let mut ids: Vec<VmId> = self.core.vms.lock().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -1088,59 +1206,41 @@ impl ApiStack {
         guest_tx_plan: Option<FaultPlan>,
         guest_rx_plan: Option<FaultPlan>,
     ) -> Result<(VmId, Arc<GuestLibrary>)> {
+        let core = &self.core;
         // Pooled stacks bind the VM to a slot chosen by the placement
-        // policy: its server executes against that slot's shared handler,
-        // and the router accounts the lane against the slot's in-flight
-        // budget. Private stacks keep a fresh device per VM, as ever.
-        let (slot, handler) = match &self.pool {
+        // policy: its server executes against that slot's shared handler
+        // and accountant, and the router accounts the lane against the
+        // slot's in-flight budget. Private stacks keep a fresh device per
+        // VM, as ever.
+        let home = match &core.pool {
             Some(pool) => {
-                let slot = pool.place(self.config.placement, &self.hypervisor);
-                (Some(slot), Arc::clone(&pool.slots[slot].handler))
+                let slot = pool.place(core.config.placement, &core.hypervisor);
+                pool.home(slot).expect("placement picks an existing slot")
             }
-            None => (None, shared_handler((self.handler_factory)(0))),
+            None => core.private_home((core.handler_factory)(0)),
         };
-        // Pooled VMs share the slot's residency accountant (quota and
-        // capacity pressure see the device's true footprint); private VMs
-        // get their own. Per-VM policy quota beats the stack default.
-        let memory = match (&self.pool, slot) {
-            (Some(pool), Some(slot)) => Arc::clone(&pool.slots[slot].memory),
-            _ => Arc::new(MemoryManager::new(self.config.device_mem_capacity)),
-        };
-        let mem_quota = policy.device_mem_quota.or(self.config.device_mem_quota);
+        // Per-VM policy quota beats the stack default.
+        let mem_quota = policy.device_mem_quota.or(core.config.device_mem_quota);
         let priority = policy.priority;
-        let conn = self.hypervisor.add_vm_full(
+        let conn = core.hypervisor.add_vm_full(
             policy,
-            self.config.transport,
-            self.config.cost_model,
-            slot,
+            core.config.transport,
+            core.config.cost_model,
+            home.slot,
             guest_tx_plan,
             guest_rx_plan,
         )?;
-        let telemetry = self.telemetry.lock().with_vm(conn.vm_id);
-        let mut server = ApiServer::with_shared(Arc::clone(&self.descriptor), handler);
-        server.set_telemetry(telemetry.clone());
-        // The server's payload mirror must match the guest's transfer cache
-        // exactly (same capacity, same eligibility floor) — the stack is
-        // the single source of truth for both.
-        server.set_payload_cache(
-            self.config.guest.payload_cache_entries,
-            self.config.guest.payload_cache_min_bytes,
-        );
-        server.set_memory(Arc::clone(&memory), conn.vm_id);
-        server.set_mem_quota(mem_quota);
+        let vm = conn.vm_id;
+        let telemetry = core.telemetry.lock().with_vm(vm);
         if let Some(registry) = telemetry.registry() {
             conn.guest
-                .register_telemetry(registry, &format!("vm{}.guest", conn.vm_id));
+                .register_telemetry(registry, &format!("vm{vm}.guest"));
             conn.server
-                .register_telemetry(registry, &format!("vm{}.server", conn.vm_id));
-            // Pooled managers are registered per-slot (`mem.slot<N>.*`) by
-            // `PoolState::register`; private ones get a per-VM scope here.
-            if self.pool.is_none() {
-                memory.register(registry, &format!("vm{}", conn.vm_id));
-            }
+                .register_telemetry(registry, &format!("vm{vm}.server"));
         }
         let journal = Arc::new(StdMutex::new(CallJournal::new()));
-        server.set_journal(Arc::clone(&journal));
+        let server = core.build_server(vm, &home, mem_quota, &journal, None)?;
+        let slot = home.slot;
         let mut runtime = VmRuntime {
             stop: Arc::new(AtomicBool::new(true)),
             crashed: Arc::new(AtomicBool::new(false)),
@@ -1150,32 +1250,32 @@ impl ApiStack {
             cache_epoch: 0,
             journal,
             respawns: 0,
-            memory,
+            home,
             mem_quota,
             priority,
         };
         runtime.spawn();
-        self.vms.lock().insert(conn.vm_id, runtime);
-        if let (Some(pool), Some(slot)) = (&self.pool, slot) {
-            pool.placements.lock().insert(conn.vm_id, slot);
-            pool.slots[slot].vms.add(1.0);
+        core.vms.lock().insert(vm, runtime);
+        if let (Some(pool), Some(slot)) = (&core.pool, slot) {
+            pool.rebind(vm, Some(slot));
             telemetry.event(Tier::Pool, EventKind::Placement, 0, slot as u64);
         }
         let mut lib =
-            GuestLibrary::new(Arc::clone(&self.descriptor), conn.guest, self.config.guest);
+            GuestLibrary::new(Arc::clone(&core.descriptor), conn.guest, core.config.guest);
         lib.attach_telemetry(telemetry);
-        Ok((conn.vm_id, Arc::new(lib)))
+        Ok((vm, Arc::new(lib)))
     }
 
     /// The pool slot a VM is bound to; `None` for private-device stacks
     /// (or unknown VMs).
     pub fn vm_slot(&self, vm: VmId) -> Option<usize> {
-        self.pool.as_ref().and_then(|p| p.slot_of(vm))
+        self.core.pool.as_ref().and_then(|p| p.slot_of(vm))
     }
 
     /// Per-slot load statistics; empty for private-device stacks.
     pub fn pool_stats(&self) -> Vec<PoolSlotStats> {
-        self.pool
+        self.core
+            .pool
             .as_ref()
             .map(|pool| {
                 pool.slots
@@ -1189,29 +1289,22 @@ impl ApiStack {
             .unwrap_or_default()
     }
 
-    /// Live-migrates a pooled VM to pool slot `dst` (§4.3 applied to
-    /// load rebalancing): pause, quiesce, snapshot, free its objects on the
-    /// source slot's device, replay onto the destination slot's shared
-    /// handler, re-home the router lane, resume. The guest's transport and
-    /// wire handles survive unchanged; a no-op when the VM is already on
-    /// `dst`. Fails with [`StackError::NotPooled`] on private stacks.
+    /// Live-migrates a VM to pool slot `dst` (§4.3 applied to load
+    /// rebalancing): snapshot relocation onto the destination slot's
+    /// shared device. A no-op when the VM is already on `dst`. Fails with
+    /// [`StackError::NotPooled`] on private stacks.
     pub fn rebalance_vm(&self, vm: VmId, dst: usize) -> Result<()> {
-        let pool = self.pool.as_ref().ok_or(StackError::NotPooled)?;
-        rebalance(
-            &self.hypervisor,
-            &self.descriptor,
-            &self.config,
-            &self.vms,
-            &self.telemetry,
-            pool,
-            vm,
-            dst,
-        )
+        if self.vm_slot(vm) == Some(dst) {
+            return Ok(());
+        }
+        self.core
+            .relocate(vm, StateSource::Snapshot, Target::Slot(dst))?;
+        Ok(())
     }
 
     /// Router-side statistics for a VM.
     pub fn vm_router_stats(&self, vm: VmId) -> Result<VmStats> {
-        Ok(self.hypervisor.vm_stats(vm)?)
+        Ok(self.core.hypervisor.vm_stats(vm)?)
     }
 
     /// Forces a brownout stage on the router (stage 0 exits). Traffic
@@ -1220,23 +1313,19 @@ impl ApiStack {
     /// [`StackConfig::brownout`] is set; this hook exists for tests,
     /// benches, and operator overrides.
     pub fn set_brownout(&self, stage: u8, shed: Vec<VmId>) -> Result<()> {
-        Ok(self.hypervisor.set_brownout(stage, shed)?)
+        Ok(self.core.hypervisor.set_brownout(stage, shed)?)
     }
 
     /// Server-side statistics for a VM.
     pub fn vm_server_stats(&self, vm: VmId) -> Result<ServerStats> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        let stats = runtime.server.lock().stats();
-        Ok(stats)
+        self.core
+            .with_vm(vm, |runtime| runtime.server.lock().stats())
     }
 
     /// Estimated live device memory held by a VM's server.
     pub fn vm_live_device_mem(&self, vm: VmId) -> Result<u64> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        let mem = runtime.server.lock().live_device_mem();
-        Ok(mem)
+        self.core
+            .with_vm(vm, |runtime| runtime.server.lock().live_device_mem())
     }
 
     /// Residency/swap statistics from the memory manager a VM reports
@@ -1244,116 +1333,53 @@ impl ApiStack {
     /// cover every VM sharing that device; [`ApiStack::vm_owned_device_mem`]
     /// gives the single-VM footprint.
     pub fn vm_memory_stats(&self, vm: VmId) -> Result<MemoryStats> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        Ok(runtime.memory.stats())
+        self.core.with_vm(vm, |runtime| runtime.home.memory.stats())
     }
 
     /// Bytes of device memory a VM currently *owns* (resident + swapped) —
     /// the footprint its quota is enforced against.
     pub fn vm_owned_device_mem(&self, vm: VmId) -> Result<u64> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        Ok(runtime.memory.vm_bytes(vm))
+        self.core
+            .with_vm(vm, |runtime| runtime.home.memory.vm_bytes(vm))
     }
 
     /// Per-slot residency/swap statistics; empty for private-device stacks.
     pub fn pool_memory_stats(&self) -> Vec<MemoryStats> {
-        self.pool
+        self.core
+            .pool
             .as_ref()
-            .map(|pool| pool.slots.iter().map(|s| s.memory.stats()).collect())
+            .map(|pool| pool.slots.iter().map(|s| s.home.memory.stats()).collect())
             .unwrap_or_default()
     }
 
-    /// Detaches a VM and stops its server.
+    /// Detaches a VM: stops its server and frees every device object the
+    /// guest left behind — on a pool the device outlives the VM, so nobody
+    /// else ever could.
     pub fn detach_vm(&self, vm: VmId) -> Result<()> {
-        let mut vms = self.vms.lock();
+        let mut vms = self.core.vms.lock();
         let mut runtime = vms.remove(&vm).ok_or(StackError::UnknownVm(vm))?;
         runtime.halt();
-        // Release the VM's residency accounting (and any host-store swap
-        // payloads it still owned) from its slot's shared accountant.
-        runtime.memory.free_all(vm);
-        self.hypervisor.remove_vm(vm)?;
-        if let Some(pool) = &self.pool {
-            if let Some(slot) = pool.placements.lock().remove(&vm) {
-                pool.slots[slot].vms.add(-1.0);
-            }
+        // Also releases the VM's residency accounting (and any host-store
+        // swap payloads it still owned) from its device's accountant.
+        runtime.server.lock().teardown();
+        self.core.hypervisor.remove_vm(vm)?;
+        if let Some(pool) = &self.core.pool {
+            pool.rebind(vm, None);
         }
         Ok(())
     }
 
-    /// Migrates a VM's API state to a new host backend (§4.3): pause,
-    /// quiesce, snapshot, free source device resources, replay onto a
-    /// fresh handler, restore payloads, resume. The guest's transport and
-    /// wire handles survive unchanged.
+    /// Migrates a VM's API state to a new host backend (§4.3): snapshot
+    /// relocation onto `target_handler`'s private device. A pooled VM
+    /// leaves the pool. Returns the image that was moved. On failure the
+    /// VM keeps running on its source device.
     pub fn migrate_vm<F>(&self, vm: VmId, target_handler: F) -> Result<MigrationImage>
     where
         F: FnOnce() -> Box<dyn ApiHandler>,
     {
-        self.hypervisor.pause_vm(vm)?;
-        self.hypervisor
-            .wait_quiescent(vm, Duration::from_secs(30))?;
-
-        let mut vms = self.vms.lock();
-        let runtime = vms.get_mut(&vm).ok_or(StackError::UnknownVm(vm))?;
-        runtime.halt();
-
-        let image = {
-            let mut server = runtime.server.lock();
-            let image = server.snapshot();
-            server.teardown();
-            image
-        };
-
-        let mut restored =
-            ApiServer::restore(Arc::clone(&self.descriptor), target_handler(), &image)?;
-        restored.set_telemetry(self.telemetry.lock().with_vm(vm));
-        restored.set_payload_cache(
-            self.config.guest.payload_cache_entries,
-            self.config.guest.payload_cache_min_bytes,
-        );
-        // Migrating onto a private handler re-homes residency onto a fresh
-        // private accountant (the source teardown already released the
-        // VM's registrations from the old one); the restore path replays
-        // allocation sizes and re-parks still-swapped buffers.
-        {
-            let memory = Arc::new(MemoryManager::new(self.config.device_mem_capacity));
-            restored.set_memory(Arc::clone(&memory), vm);
-            restored.set_mem_quota(runtime.mem_quota);
-            runtime.memory = memory;
-        }
-        // The journal keeps accumulating across migrations: it already
-        // holds the pre-migration history, so a later crash still replays
-        // the full execution and re-mints the same wire handles.
-        restored.set_journal(Arc::clone(&runtime.journal));
-        runtime.server = Arc::new(Mutex::new(restored));
-        runtime.spawn();
-        // The restored server's payload mirror starts empty; announce the
-        // new epoch so the guest proactively drops its digest cache instead
-        // of discovering the desync one NACK at a time. (The NACK/resend
-        // path would heal it regardless — this is an optimization, and the
-        // reason record/replay stays sound: replay only ever sees the
-        // materialized bytes resolved before recording.)
-        runtime.cache_epoch += 1;
-        let _ = runtime
-            .transport
-            .send(&Message::Control(ControlMessage::CacheEpoch(
-                runtime.cache_epoch,
-            )));
-        drop(vms);
-
-        // Migrating onto a caller-supplied private handler takes the VM
-        // off the pool: its objects now live on the target device, so the
-        // router must stop charging its calls to the old slot.
-        if let Some(pool) = &self.pool {
-            if let Some(slot) = pool.placements.lock().remove(&vm) {
-                pool.slots[slot].vms.add(-1.0);
-                self.hypervisor.set_vm_slot(vm, None)?;
-            }
-        }
-
-        self.hypervisor.resume_vm(vm)?;
-        Ok(image)
+        let target = Target::Private(target_handler());
+        let image = self.core.relocate(vm, StateSource::Snapshot, target)?;
+        Ok(image.expect("a snapshot relocation returns its image"))
     }
 
     /// Live-migrates a VM onto a fresh device instance built by the
@@ -1362,8 +1388,7 @@ impl ApiStack {
     /// cannot supply a handler closure over the wire. Pooled VMs leave
     /// the pool, exactly as with an explicit target handler.
     pub fn migrate_vm_fresh(&self, vm: VmId) -> Result<()> {
-        let factory = Arc::clone(&self.handler_factory);
-        self.migrate_vm(vm, move || factory(0))?;
+        self.migrate_vm(vm, || (self.core.handler_factory)(0))?;
         Ok(())
     }
 
@@ -1371,10 +1396,8 @@ impl ApiStack {
     /// digest cache untouched — a deliberate desync. Test hook for
     /// exercising the `CacheMiss` NACK/resend convergence path end-to-end.
     pub fn desync_vm_payload_cache(&self, vm: VmId) -> Result<()> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        runtime.server.lock().clear_payload_cache();
-        Ok(())
+        self.core
+            .with_vm(vm, |runtime| runtime.server.lock().clear_payload_cache())
     }
 
     /// Kills a VM's API server mid-flight, abandoning all server state —
@@ -1383,17 +1406,16 @@ impl ApiStack {
     /// on the severed channel are lost, and the supervisor rebuilds the
     /// server by journal replay.
     pub fn crash_vm_server(&self, vm: VmId) -> Result<()> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        runtime.crashed.store(true, Ordering::Release);
-        runtime.transport.close();
-        Ok(())
+        self.core.with_vm(vm, |runtime| {
+            runtime.crashed.store(true, Ordering::Release);
+            runtime.transport.close();
+        })
     }
 
     /// Crash-recovery statistics (respawns, replayed calls, abandoned
     /// recoveries) for the whole stack.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats()
+        self.core.recovery.stats()
     }
 
     /// A snapshot of a VM's execution journal. Its call ids being unique
@@ -1401,13 +1423,13 @@ impl ApiStack {
     /// made observable: no call ever executed device-side twice, however
     /// many duplicate frames the transport delivered.
     pub fn vm_journal(&self, vm: VmId) -> Result<CallJournal> {
-        let vms = self.vms.lock();
-        let runtime = vms.get(&vm).ok_or(StackError::UnknownVm(vm))?;
-        let journal = match runtime.journal.lock() {
-            Ok(journal) => journal.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
-        Ok(journal)
+        self.core.with_vm(vm, |runtime| {
+            let journal = runtime
+                .journal
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            journal.clone()
+        })
     }
 }
 
@@ -1417,7 +1439,7 @@ impl Drop for ApiStack {
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
-        for (_, runtime) in self.vms.lock().iter_mut() {
+        for (_, runtime) in self.core.vms.lock().iter_mut() {
             runtime.halt();
         }
     }

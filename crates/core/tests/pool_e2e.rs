@@ -1,6 +1,6 @@
 //! End-to-end tests for the shared device pool: placement policies,
-//! slot-sharing correctness, live rebalancing, pooled crash recovery and
-//! the load watchdog.
+//! slot-sharing correctness and the load watchdog. (Explicit rebalancing
+//! and pooled crash recovery are cells of `relocation_e2e`'s matrix.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -178,134 +178,6 @@ fn least_loaded_placement_spreads_asymmetric_load() {
     run_saxpy(&OpenClClient::new(lib_b), 64);
     let (vm_c, _lib_c) = stack.attach_vm(VmPolicy::default()).unwrap();
     assert_eq!(stack.vm_slot(vm_c), Some(1));
-}
-
-#[test]
-fn rebalance_vm_mid_workload_preserves_results() {
-    let iters = 24usize;
-    let payload_len = 4096usize;
-
-    // Oracle: the same write/mutate/read loop run locally.
-    let oracle_checksum = {
-        let mut payload: Vec<u8> = (0..payload_len).map(|i| (i * 131 % 251) as u8).collect();
-        let mut checksum = 0u64;
-        for epoch in 0..iters {
-            payload[0] = payload[0].wrapping_add(epoch as u8);
-            checksum = checksum.wrapping_add(payload.iter().map(|&b| u64::from(b)).sum::<u64>());
-        }
-        checksum
-    };
-
-    let stack =
-        Arc::new(opencl_pool_stack(silos(2), pool_config(PlacementPolicy::RoundRobin)).unwrap());
-    let (vm, lib) = stack.attach_vm(VmPolicy::default()).unwrap();
-    assert_eq!(stack.vm_slot(vm), Some(0));
-    let client = OpenClClient::new(lib);
-
-    let platform = client.get_platform_ids().unwrap()[0];
-    let device = client.get_device_ids(platform, DeviceType::All).unwrap()[0];
-    let ctx = client.create_context(device).unwrap();
-    let queue = client
-        .create_command_queue(ctx, device, QueueProps::default())
-        .unwrap();
-    let buf = client
-        .create_buffer(ctx, MemFlags::read_write(), payload_len, None)
-        .unwrap();
-
-    // The workload hammers write→read round trips while the main thread
-    // live-migrates the VM to the other slot mid-stream. Every round trip
-    // must read back exactly what it wrote, rebalance or not.
-    let stack_ref = Arc::clone(&stack);
-    let worker = std::thread::spawn(move || {
-        let _ = &stack_ref;
-        let mut payload: Vec<u8> = (0..payload_len).map(|i| (i * 131 % 251) as u8).collect();
-        let mut checksum = 0u64;
-        for epoch in 0..iters {
-            payload[0] = payload[0].wrapping_add(epoch as u8);
-            client
-                .enqueue_write_buffer(queue, buf, true, 0, &payload, &[], false)
-                .unwrap();
-            let mut out = vec![0u8; payload_len];
-            client
-                .enqueue_read_buffer(queue, buf, true, 0, &mut out, &[], false)
-                .unwrap();
-            assert_eq!(out, payload, "epoch {epoch} round trip corrupted");
-            checksum = checksum.wrapping_add(out.iter().map(|&b| u64::from(b)).sum::<u64>());
-        }
-        checksum
-    });
-
-    // Let a few epochs land on slot 0, then move the VM to slot 1 while
-    // the workload keeps issuing calls.
-    std::thread::sleep(Duration::from_millis(20));
-    stack.rebalance_vm(vm, 1).unwrap();
-    assert_eq!(stack.vm_slot(vm), Some(1));
-
-    let checksum = worker.join().unwrap();
-    assert_eq!(checksum, oracle_checksum);
-
-    let stats = stack.pool_stats();
-    assert_eq!(stats[0].vms, 0);
-    assert_eq!(stats[1].vms, 1);
-    assert!(
-        stats[1].device_time_ms > 0.0,
-        "post-rebalance work must be billed to the destination slot"
-    );
-
-    // Rebalancing to the current slot is a no-op; out-of-range fails.
-    stack.rebalance_vm(vm, 1).unwrap();
-    assert!(matches!(
-        stack.rebalance_vm(vm, 9),
-        Err(StackError::UnknownSlot(9))
-    ));
-}
-
-#[test]
-fn pooled_vm_recovers_onto_its_slot_after_crash() {
-    let mut config = pool_config(PlacementPolicy::RoundRobin);
-    config.supervision_interval = Duration::from_millis(2);
-    let stack = opencl_pool_stack(silos(1), config).unwrap();
-    let (vm_a, lib_a) = stack.attach_vm(VmPolicy::default()).unwrap();
-    let (_vm_b, lib_b) = stack.attach_vm(VmPolicy::default()).unwrap();
-    let a = OpenClClient::new(lib_a);
-    let b = OpenClClient::new(lib_b);
-
-    // Both slot-mates set up state on the shared device.
-    let marker_a: Vec<u8> = (0..=255).rev().collect();
-    let platform = a.get_platform_ids().unwrap()[0];
-    let device = a.get_device_ids(platform, DeviceType::All).unwrap()[0];
-    let ctx_a = a.create_context(device).unwrap();
-    let queue_a = a
-        .create_command_queue(ctx_a, device, QueueProps::default())
-        .unwrap();
-    let buf_a = a
-        .create_buffer(ctx_a, MemFlags::read_write(), 256, Some(&marker_a))
-        .unwrap();
-    a.finish(queue_a).unwrap();
-    assert_eq!(run_saxpy(&b, 64)[1], 13.0);
-
-    // Kill A's API server mid-flight; the supervisor replays its journal
-    // onto the *same* slot's device.
-    stack.crash_vm_server(vm_a).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while stack.recovery_stats().respawns == 0 {
-        assert!(Instant::now() < deadline, "supervisor never respawned");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(
-        stack.vm_slot(vm_a),
-        Some(0),
-        "recovery must not move the VM"
-    );
-    assert!(stack.recovery_stats().replayed_calls > 0);
-
-    // A's handles (minted pre-crash) still resolve, and its data survived.
-    let mut out = vec![0u8; 256];
-    a.enqueue_read_buffer(queue_a, buf_a, true, 0, &mut out, &[], false)
-        .unwrap();
-    assert_eq!(out, marker_a);
-    // The slot-mate was never disturbed.
-    assert_eq!(run_saxpy(&b, 64)[1], 13.0);
 }
 
 #[test]

@@ -1,0 +1,570 @@
+//! The relocation matrix: one workload, one set of assertions, run across
+//! every reachable (state source × target device) cell of the stack's
+//! single relocation path, on a private and on a pooled stack.
+//!
+//! | move            | source   | target            |
+//! |-----------------|----------|-------------------|
+//! | `Rebalance(i)`  | snapshot | pool slot `i`     |
+//! | `Migrate`       | snapshot | private (caller's)|
+//! | `MigrateFresh`  | snapshot | private (factory) |
+//! | `Crash`         | journal  | same              |
+//!
+//! Every cell asserts the same contract: results bit-identical to native,
+//! the guest's wire handles still valid, at-most-once execution, the
+//! guest's transfer cache dropped (no `CacheMiss` NACK after the move),
+//! the VM's owned device memory unchanged, and pool occupancy consistent.
+//! The regression tests at the bottom cover what a relocation must do when
+//! the target fails, and what attach/detach share with it.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+
+use ava_core::{
+    opencl_pool_stack, opencl_stack, specs, ApiStack, GuestConfig, LowerOptions, OpenClClient,
+    OpenClHandler, PlacementPolicy, StackConfig, StackError,
+};
+use ava_hypervisor::VmPolicy;
+use ava_server::{ApiHandler, HandlerOutput, ServerError};
+use ava_spec::FunctionDesc;
+use ava_telemetry::Registry;
+use ava_transport::{CostModel, TransportKind};
+use ava_wire::{Value, VmId};
+use simcl::types::*;
+use simcl::{ClApi, SimCl};
+
+/// Floats per buffer: 1 KiB uploads, above the transfer-cache floor.
+const N: usize = 256;
+/// Workload steps per cell, split evenly into one leg per move plus one.
+const STEPS: usize = 12;
+
+fn config() -> StackConfig {
+    StackConfig {
+        transport: TransportKind::SharedMemory,
+        cost_model: CostModel::free(),
+        // Both tenants of a pooled cell land on slot 0, leaving slot 1 as
+        // the rebalance destination.
+        placement: PlacementPolicy::Packed,
+        supervision_interval: Duration::from_millis(2),
+        guest: GuestConfig {
+            payload_cache_entries: 64,
+            payload_cache_min_bytes: 64,
+            ..GuestConfig::default()
+        },
+        ..StackConfig::default()
+    }
+}
+
+fn build_stack(pooled: bool) -> ApiStack {
+    let stack = if pooled {
+        opencl_pool_stack(vec![SimCl::new(), SimCl::new()], config())
+    } else {
+        opencl_stack(SimCl::new(), config())
+    };
+    stack.unwrap()
+}
+
+fn attach(stack: &ApiStack) -> (VmId, OpenClClient) {
+    let (vm, lib) = stack.attach_vm(VmPolicy::default()).unwrap();
+    (vm, OpenClClient::new(lib))
+}
+
+/// An accumulating saxpy (`y += 3x` per step) that re-uploads the same `x`
+/// every step: the kernel object, its bound arguments and the
+/// kernel-mutated `y` are all state a relocation must carry, and the
+/// repeated upload is what the transfer cache elides. Every handle is
+/// minted in `setup` and reused to the end, so a step after a move only
+/// works if the guest's wire handles survived it.
+struct Saxpy<'a> {
+    api: &'a dyn ClApi,
+    ctx: ClContext,
+    queue: ClQueue,
+    program: ClProgram,
+    kernel: ClKernel,
+    bx: ClMem,
+    by: ClMem,
+    x: Vec<u8>,
+}
+
+impl<'a> Saxpy<'a> {
+    fn setup(api: &'a dyn ClApi) -> Self {
+        let platform = api.get_platform_ids().unwrap()[0];
+        let device = api.get_device_ids(platform, DeviceType::Gpu).unwrap()[0];
+        let ctx = api.create_context(device).unwrap();
+        let queue = api
+            .create_command_queue(ctx, device, QueueProps::default())
+            .unwrap();
+        let program = api
+            .create_program_with_source(ctx, simcl::kernels::builtins::SOURCE)
+            .unwrap();
+        api.build_program(program, "").unwrap();
+        let kernel = api.create_kernel(program, "saxpy").unwrap();
+        let x: Vec<f32> = (0..N).map(|i| i as f32).collect();
+        let bx = api
+            .create_buffer(ctx, MemFlags::read_only(), 4 * N, None)
+            .unwrap();
+        let by = api
+            .create_buffer(
+                ctx,
+                MemFlags::read_write(),
+                4 * N,
+                Some(&simcl::mem::f32_to_bytes(&vec![10.0; N])),
+            )
+            .unwrap();
+        api.set_kernel_arg(kernel, 0, KernelArg::Mem(bx)).unwrap();
+        api.set_kernel_arg(kernel, 1, KernelArg::Mem(by)).unwrap();
+        api.set_kernel_arg(kernel, 2, KernelArg::from_f32(3.0))
+            .unwrap();
+        api.set_kernel_arg(kernel, 3, KernelArg::from_u32(N as u32))
+            .unwrap();
+        Saxpy {
+            api,
+            ctx,
+            queue,
+            program,
+            kernel,
+            bx,
+            by,
+            x: simcl::mem::f32_to_bytes(&x),
+        }
+    }
+
+    /// One upload → kernel → readback round; returns the bytes read.
+    fn step(&self) -> Vec<u8> {
+        self.api
+            .enqueue_write_buffer(self.queue, self.bx, true, 0, &self.x, &[], false)
+            .unwrap();
+        self.api
+            .enqueue_nd_range_kernel(self.queue, self.kernel, [N, 1, 1], None, &[], false)
+            .unwrap();
+        let mut out = vec![0u8; 4 * N];
+        self.api
+            .enqueue_read_buffer(self.queue, self.by, true, 0, &mut out, &[], false)
+            .unwrap();
+        out
+    }
+
+    /// A payload-free sync round trip on a pre-move handle. After a move
+    /// it is also where the guest meets the new cache epoch, which the
+    /// stack queued ahead of the reply.
+    fn settle(&self) {
+        self.api.finish(self.queue).unwrap();
+    }
+
+    fn close(self) {
+        self.api.release_kernel(self.kernel).unwrap();
+        self.api.release_program(self.program).unwrap();
+        self.api.release_mem_object(self.bx).unwrap();
+        self.api.release_mem_object(self.by).unwrap();
+        self.api.finish(self.queue).unwrap();
+        self.api.release_command_queue(self.queue).unwrap();
+        self.api.release_context(self.ctx).unwrap();
+    }
+}
+
+/// What `steps` steps read back on the bare silo.
+fn native(steps: usize) -> Vec<Vec<u8>> {
+    let silo = SimCl::new();
+    let work = Saxpy::setup(&silo);
+    let reads = (0..steps).map(|_| work.step()).collect();
+    work.close();
+    reads
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Move {
+    Rebalance(usize),
+    Migrate,
+    MigrateFresh,
+    Crash,
+}
+
+/// Performs one move through the public API and checks what that API
+/// promises about it. `x` is the workload's upload payload.
+fn relocate(stack: &ApiStack, vm: VmId, mv: Move, x: &[u8]) {
+    let slot_before = stack.vm_slot(vm);
+    match mv {
+        Move::Rebalance(dst) => {
+            stack.rebalance_vm(vm, dst).unwrap();
+            assert_eq!(stack.vm_slot(vm), Some(dst));
+        }
+        Move::Migrate => {
+            // A second "host": a silo the stack has never seen.
+            let host = SimCl::new();
+            let image = stack
+                .migrate_vm(vm, move || Box::new(OpenClHandler::new(host)))
+                .unwrap();
+            assert!(!image.records.is_empty());
+            assert!(
+                image.buffers.iter().any(|(_, data)| data == x),
+                "the image must carry the uploaded buffer's payload"
+            );
+            assert_eq!(stack.vm_slot(vm), None, "a migrated VM leaves the pool");
+        }
+        Move::MigrateFresh => {
+            stack.migrate_vm_fresh(vm).unwrap();
+            assert_eq!(stack.vm_slot(vm), None, "a migrated VM leaves the pool");
+        }
+        Move::Crash => {
+            let before = stack.recovery_stats();
+            stack.crash_vm_server(vm).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while stack.recovery_stats().respawns == before.respawns {
+                assert!(Instant::now() < deadline, "supervisor never respawned");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let after = stack.recovery_stats();
+            assert!(after.replayed_calls > before.replayed_calls);
+            assert_eq!(after.failed, before.failed);
+            assert_eq!(
+                stack.vm_slot(vm),
+                slot_before,
+                "recovery must not move the VM"
+            );
+        }
+    }
+}
+
+/// Σ `pool_stats().vms` must equal the VMs that still have a slot.
+fn assert_pool_consistent(stack: &ApiStack) {
+    let placed = stack
+        .vm_ids()
+        .into_iter()
+        .filter(|&vm| stack.vm_slot(vm).is_some())
+        .count();
+    let occupancy: u32 = stack.pool_stats().iter().map(|s| s.vms).sum();
+    assert_eq!(occupancy as usize, placed, "{:?}", stack.pool_stats());
+}
+
+/// One matrix cell: the workload runs in `moves.len() + 1` equal legs with
+/// one move between each pair, on a quiet lane. On a pooled stack a
+/// bystander shares the victim's slot and must never notice.
+fn run_cell(pooled: bool, moves: &[Move]) {
+    let legs = moves.len() + 1;
+    let oracle = native(STEPS);
+    let stack = build_stack(pooled);
+    stack.set_telemetry(Registry::new()).unwrap();
+    let (vm, client) = attach(&stack);
+    let bystander = pooled.then(|| attach(&stack).1);
+    if pooled {
+        assert_eq!(stack.pool_stats()[0].vms, 2);
+    }
+    let beside = bystander.as_ref().map(|api| Saxpy::setup(api));
+    let mut beside_reads = Vec::new();
+
+    let work = Saxpy::setup(&client);
+    let mut reads = Vec::new();
+    for (leg, mv) in moves.iter().copied().enumerate() {
+        reads.extend((0..STEPS / legs).map(|_| work.step()));
+        beside_reads.extend(beside.iter().map(Saxpy::step));
+        let owned = stack.vm_owned_device_mem(vm).unwrap();
+        assert_eq!(owned, 2 * 4 * N as u64);
+
+        relocate(&stack, vm, mv, &work.x);
+
+        work.settle();
+        assert_eq!(
+            stack.vm_owned_device_mem(vm).unwrap(),
+            owned,
+            "leg {leg} {mv:?}: the VM's footprint must move with it"
+        );
+        assert_pool_consistent(&stack);
+    }
+    reads.extend((reads.len()..STEPS).map(|_| work.step()));
+    beside_reads.extend(beside.iter().map(Saxpy::step));
+    assert_eq!(reads, oracle, "{moves:?}: results diverged from native");
+    if pooled {
+        assert_eq!(beside_reads, native(legs), "the slot-mate was disturbed");
+    }
+
+    // The guest dropped its transfer cache with each move instead of
+    // learning about the empty mirror one NACK at a time: the first upload
+    // of every leg ships in full, every other one is elided, none bounces.
+    let guest = client.library().stats();
+    assert_eq!(guest.payload_cache_misses, 0, "{moves:?}");
+    assert_eq!(guest.payload_cache_hits, (STEPS - legs) as u64, "{moves:?}");
+    let server = stack.vm_server_stats(vm).unwrap();
+    assert_eq!(server.payload_cache_misses, 0, "{moves:?}");
+    assert!(stack.vm_router_stats(vm).unwrap().cache_hits >= (STEPS - legs) as u64);
+
+    assert!(stack.vm_journal(vm).unwrap().call_ids_unique());
+    work.close();
+    if let Some(beside) = beside {
+        beside.close();
+    }
+    stack.detach_vm(vm).unwrap();
+    assert_pool_consistent(&stack);
+}
+
+#[test]
+fn private_vm_migrates_to_a_second_host() {
+    run_cell(false, &[Move::Migrate]);
+}
+
+#[test]
+fn private_vm_migrates_to_a_fresh_device() {
+    run_cell(false, &[Move::MigrateFresh]);
+}
+
+#[test]
+fn private_vm_recovers_from_a_crash() {
+    run_cell(false, &[Move::Crash]);
+}
+
+#[test]
+fn pooled_vm_rebalances_between_slots() {
+    run_cell(true, &[Move::Rebalance(1), Move::Rebalance(0)]);
+}
+
+#[test]
+fn pooled_vm_migrates_off_the_pool() {
+    run_cell(true, &[Move::Migrate]);
+    run_cell(true, &[Move::MigrateFresh]);
+}
+
+#[test]
+fn pooled_vm_recovers_onto_its_slot_after_a_crash() {
+    run_cell(true, &[Move::Crash]);
+}
+
+#[test]
+fn moves_compose_on_one_vm() {
+    // A VM that left the pool still recovers, and can be taken back in.
+    run_cell(true, &[Move::Rebalance(1), Move::MigrateFresh, Move::Crash]);
+    run_cell(true, &[Move::MigrateFresh, Move::Rebalance(1)]);
+    run_cell(false, &[Move::Crash, Move::Migrate, Move::Crash]);
+}
+
+/// A planned move under traffic: the workload keeps issuing calls on its
+/// own thread while the VM is relocated, so the pause → quiesce → drain
+/// sequence runs against a busy lane. (Crash under traffic needs guest
+/// retries and lives in the chaos suites.)
+fn run_cell_mid_flight(pooled: bool, mv: Move) -> ApiStack {
+    let steps = 4 * STEPS;
+    let oracle = native(steps);
+    let stack = build_stack(pooled);
+    let (vm, client) = attach(&stack);
+    let work = Saxpy::setup(&client);
+    let (started, go) = mpsc::channel();
+    let reads = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            (0..steps)
+                .map(|step| {
+                    if step == STEPS / 2 {
+                        started.send(()).unwrap();
+                    }
+                    work.step()
+                })
+                .collect::<Vec<_>>()
+        });
+        go.recv().unwrap();
+        relocate(&stack, vm, mv, &work.x);
+        worker.join().unwrap()
+    });
+    assert_eq!(reads, oracle, "{mv:?} mid-flight diverged from native");
+    assert!(stack.vm_journal(vm).unwrap().call_ids_unique());
+    assert_pool_consistent(&stack);
+    work.close();
+    stack
+}
+
+#[test]
+fn private_vm_migrates_mid_workload() {
+    run_cell_mid_flight(false, Move::Migrate);
+}
+
+#[test]
+fn pooled_vm_rebalances_mid_workload() {
+    let stack = run_cell_mid_flight(true, Move::Rebalance(1));
+    let vm = stack.vm_ids()[0];
+    let stats = stack.pool_stats();
+    assert_eq!(stats[0].vms, 0);
+    assert_eq!(stats[1].vms, 1);
+    assert!(
+        stats[1].device_time_ms > 0.0,
+        "post-rebalance work must be billed to the destination slot"
+    );
+    // Rebalancing to the current slot is a no-op; out-of-range fails.
+    stack.rebalance_vm(vm, 1).unwrap();
+    assert!(matches!(
+        stack.rebalance_vm(vm, 9),
+        Err(StackError::UnknownSlot(9))
+    ));
+}
+
+// ---- what a relocation owes the VM when the target fails ----------------
+
+/// An OpenCL device that starts failing every dispatch once its budget of
+/// successful ones is spent.
+struct Flaky {
+    inner: OpenClHandler,
+    budget: Arc<AtomicUsize>,
+}
+
+impl Flaky {
+    fn boxed(silo: &SimCl, budget: &Arc<AtomicUsize>) -> Box<dyn ApiHandler> {
+        Box::new(Flaky {
+            inner: OpenClHandler::new(silo.clone()),
+            budget: Arc::clone(budget),
+        })
+    }
+}
+
+impl ApiHandler for Flaky {
+    fn dispatch(
+        &mut self,
+        func: &FunctionDesc,
+        args: &[Value],
+    ) -> ava_server::Result<HandlerOutput> {
+        self.budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
+            .map_err(|_| ServerError::Handler("device fault".into()))?;
+        self.inner.dispatch(func, args)
+    }
+
+    fn swappable_kinds(&self) -> &[&str] {
+        self.inner.swappable_kinds()
+    }
+
+    fn snapshot_object(&mut self, kind: &str, silo: u64) -> Option<Vec<u8>> {
+        self.inner.snapshot_object(kind, silo)
+    }
+
+    fn restore_object(&mut self, kind: &str, silo: u64, data: &[u8]) -> bool {
+        self.inner.restore_object(kind, silo, data)
+    }
+
+    fn drop_object(&mut self, kind: &str, silo: u64) -> bool {
+        self.inner.drop_object(kind, silo)
+    }
+
+    fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
+        self.inner.ret_indicates_oom(func, ret)
+    }
+}
+
+/// With a deadline the guest gives up on a lane nobody serves, so a VM
+/// stranded by a failed move fails this test instead of hanging it.
+fn impatient() -> StackConfig {
+    let mut config = config();
+    config.guest.call_deadline = Some(Duration::from_millis(250));
+    config.guest.max_retries = 1;
+    config
+}
+
+fn used_mem(silo: &SimCl) -> usize {
+    let platform = silo.get_platform_ids().unwrap()[0];
+    let device = silo.get_device_ids(platform, DeviceType::All).unwrap()[0];
+    silo.device_state(device).unwrap().used_mem()
+}
+
+#[test]
+fn failed_migration_leaves_the_vm_running_on_its_source() {
+    let oracle = native(STEPS);
+    let stack = opencl_stack(SimCl::new(), impatient()).unwrap();
+    let (vm, client) = attach(&stack);
+    let work = Saxpy::setup(&client);
+    let mut reads: Vec<_> = (0..STEPS / 2).map(|_| work.step()).collect();
+    let owned = stack.vm_owned_device_mem(vm).unwrap();
+
+    let dead = Arc::new(AtomicUsize::new(0));
+    let moved = stack.migrate_vm(vm, || Flaky::boxed(&SimCl::new(), &dead));
+    assert!(matches!(moved, Err(StackError::Server(_))), "{moved:?}");
+
+    // Rolled back, resumed, and none the worse for it.
+    reads.extend((reads.len()..STEPS).map(|_| work.step()));
+    assert_eq!(reads, oracle);
+    assert_eq!(stack.vm_owned_device_mem(vm).unwrap(), owned);
+    assert_eq!(stack.recovery_stats().failed, 0);
+    assert!(stack.vm_journal(vm).unwrap().call_ids_unique());
+    // The lane is healthy enough to move for real afterwards.
+    relocate(&stack, vm, Move::MigrateFresh, &work.x);
+    work.settle();
+    work.close();
+}
+
+#[test]
+fn failed_rebalance_stays_put_and_leaves_the_target_slot_clean() {
+    let oracle = native(STEPS);
+    let silos = [SimCl::new(), SimCl::new()];
+    let budgets = [
+        Arc::new(AtomicUsize::new(usize::MAX)),
+        Arc::new(AtomicUsize::new(usize::MAX)),
+    ];
+    let stack = {
+        let (silos, budgets) = (silos.clone(), budgets.clone());
+        ApiStack::new_indexed(
+            specs::opencl_descriptor(LowerOptions::default()).unwrap(),
+            move |i| Flaky::boxed(&silos[i], &budgets[i]),
+            StackConfig {
+                pool_size: 2,
+                ..impatient()
+            },
+        )
+    };
+    let (vm, client) = attach(&stack);
+    assert_eq!(stack.vm_slot(vm), Some(0));
+    let work = Saxpy::setup(&client);
+    let mut reads: Vec<_> = (0..STEPS / 2).map(|_| work.step()).collect();
+
+    // Slot 1's device dies part-way through the replay: objects it already
+    // created there must not outlive the failed move.
+    budgets[1].store(3, Ordering::SeqCst);
+    let moved = stack.rebalance_vm(vm, 1);
+    assert!(matches!(moved, Err(StackError::Server(_))), "{moved:?}");
+    assert_eq!(stack.vm_slot(vm), Some(0));
+    assert_eq!(used_mem(&silos[1]), 0);
+    assert_pool_consistent(&stack);
+
+    reads.extend((reads.len()..STEPS).map(|_| work.step()));
+    assert_eq!(reads, oracle);
+    // Once the device is back, the same move goes through.
+    budgets[1].store(usize::MAX, Ordering::SeqCst);
+    relocate(&stack, vm, Move::Rebalance(1), &work.x);
+    work.settle();
+    work.close();
+}
+
+#[test]
+fn a_rehomed_private_accountant_is_the_one_the_registry_reads() {
+    for pooled in [false, true] {
+        let stack = build_stack(pooled);
+        let registry = Registry::new();
+        stack.set_telemetry(registry.clone()).unwrap();
+        let (vm, client) = attach(&stack);
+        let work = Saxpy::setup(&client);
+        work.step();
+
+        relocate(&stack, vm, Move::MigrateFresh, &work.x);
+        work.settle();
+
+        let resident = stack.vm_memory_stats(vm).unwrap().resident_bytes;
+        assert_eq!(resident, 2 * 4 * N as u64);
+        let gauge = registry.gauge(&format!("mem.vm{vm}.resident_bytes"));
+        assert_eq!(gauge.get(), resident as f64, "pooled: {pooled}");
+        work.close();
+    }
+}
+
+#[test]
+fn detaching_a_pooled_vm_frees_what_its_guest_left_on_the_slot() {
+    let silo = SimCl::new();
+    let stack = opencl_pool_stack(vec![silo.clone()], config()).unwrap();
+    let idle = used_mem(&silo);
+
+    let (vm, client) = attach(&stack);
+    let platform = client.get_platform_ids().unwrap()[0];
+    let device = client.get_device_ids(platform, DeviceType::All).unwrap()[0];
+    let ctx = client.create_context(device).unwrap();
+    client
+        .create_buffer(ctx, MemFlags::read_write(), 1 << 20, None)
+        .unwrap();
+    assert!(used_mem(&silo) >= idle + (1 << 20));
+
+    // The guest walks away without releasing anything.
+    stack.detach_vm(vm).unwrap();
+    assert_eq!(used_mem(&silo), idle);
+    assert_eq!(stack.pool_memory_stats()[0].resident_bytes, 0);
+}

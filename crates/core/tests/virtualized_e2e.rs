@@ -185,64 +185,6 @@ fn handles_from_one_vm_are_invalid_in_another() {
 }
 
 #[test]
-fn vm_migration_moves_state_to_second_host() {
-    // Source and target "hosts": two independent SimCl instances.
-    let source_cl = SimCl::new();
-    let target_cl = SimCl::new();
-    let stack = opencl_stack(source_cl, fast_config()).unwrap();
-    let (vm, lib) = stack.attach_vm(VmPolicy::default()).unwrap();
-    let client = OpenClClient::new(lib);
-
-    let platform = client.get_platform_ids().unwrap()[0];
-    let device = client.get_device_ids(platform, DeviceType::All).unwrap()[0];
-    let ctx = client.create_context(device).unwrap();
-    let queue = client
-        .create_command_queue(ctx, device, QueueProps::default())
-        .unwrap();
-    let payload: Vec<u8> = (0..=255).collect();
-    let buf = client
-        .create_buffer(ctx, MemFlags::read_write(), 256, Some(&payload))
-        .unwrap();
-    let program = client
-        .create_program_with_source(ctx, simcl::kernels::builtins::SOURCE)
-        .unwrap();
-    client.build_program(program, "").unwrap();
-    let kernel = client.create_kernel(program, "fill").unwrap();
-    client.finish(queue).unwrap();
-
-    // Migrate to the target host.
-    let tc = target_cl.clone();
-    let image = stack
-        .migrate_vm(vm, move || Box::new(ava_core::OpenClHandler::new(tc)))
-        .unwrap();
-    assert!(!image.records.is_empty());
-    assert!(image.buffers.iter().any(|(_, d)| d == &payload));
-
-    // The guest resumes with its old handles; data survived the move.
-    let mut out = vec![0u8; 256];
-    client
-        .enqueue_read_buffer(queue, buf, true, 0, &mut out, &[], false)
-        .unwrap();
-    assert_eq!(out, payload);
-
-    // The kernel object also survived replay: set args and run on target.
-    client
-        .set_kernel_arg(kernel, 0, KernelArg::Mem(buf))
-        .unwrap();
-    client
-        .set_kernel_arg(kernel, 1, KernelArg::from_f32(1.0))
-        .unwrap();
-    client
-        .enqueue_nd_range_kernel(queue, kernel, [64, 1, 1], None, &[], false)
-        .unwrap();
-    client.finish(queue).unwrap();
-    client
-        .enqueue_read_buffer(queue, buf, true, 0, &mut out, &[], false)
-        .unwrap();
-    assert_eq!(&out[..4], 1.0f32.to_le_bytes().as_slice());
-}
-
-#[test]
 fn buffer_swapping_under_device_memory_pressure() {
     // Device holds ~1 MiB; the guest allocates 3 × 512 KiB.
     let cl = SimCl::with_devices(vec![DeviceConfig::small(1 << 20)]);

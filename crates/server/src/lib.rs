@@ -320,6 +320,25 @@ toy_status toy_destroy(toy_buf buf) {
     }
 
     #[test]
+    fn failed_restore_frees_what_it_created_on_the_target() {
+        let desc = toy_descriptor();
+        let mut source = ApiServer::new(Arc::clone(&desc), Box::new(ToyHandler::new(4096)));
+        create_buf(&mut source, &desc, 8);
+        create_buf(&mut source, &desc, 100);
+        let image = source.snapshot();
+
+        // The target device fits the first buffer but not the second, so
+        // replay fails half-way — on a handler that outlives the attempt.
+        let target = shared_handler(Box::new(ToyHandler::new(50)));
+        let restored = ApiServer::restore_with(Arc::clone(&desc), Arc::clone(&target), &image);
+        assert!(matches!(restored, Err(ServerError::Replay(_))));
+        assert!(
+            target.lock().snapshot_object("toy_buf", 1).is_none(),
+            "the buffer the partial replay created must be freed again"
+        );
+    }
+
+    #[test]
     fn oom_triggers_lru_swap_out_and_swap_in_restores() {
         let desc = toy_descriptor();
         // Device fits two 32-byte buffers.

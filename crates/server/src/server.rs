@@ -1233,14 +1233,26 @@ impl ApiServer {
         image: &MigrationImage,
     ) -> Result<ApiServer> {
         let mut server = ApiServer::with_shared(desc, handler);
+        if let Err(e) = server.replay_image(image) {
+            // Free what the partial replay created: the handler may be a
+            // pool slot's shared device, where nobody else ever could.
+            server.teardown();
+            return Err(e);
+        }
+        Ok(server)
+    }
+
+    /// Replays `image` into this (empty) server: records first, then
+    /// buffer payloads, then the at-most-once state.
+    fn replay_image(&mut self, image: &MigrationImage) -> Result<()> {
         for record in &image.records {
-            let func = server
+            let func = self
                 .desc
                 .by_id(record.fn_id)
                 .cloned()
                 .ok_or(ServerError::UnknownFunction(record.fn_id))?;
-            let silo_args = server.translate_args(&func, &record.args)?;
-            let out = server.handler.lock().dispatch(&func, &silo_args)?;
+            let silo_args = self.translate_args(&func, &record.args)?;
+            let out = self.handler.lock().dispatch(&func, &silo_args)?;
             // Collect the silo handles the replayed call produced, in the
             // same canonical order the original recording used, and
             // re-bind the guest's original wire handles to them.
@@ -1254,19 +1266,19 @@ impl ApiServer {
                 )));
             }
             for ((wire, kind), silo) in record.produced.iter().zip(new_silos) {
-                server.handles.bind(*wire, kind, silo);
+                self.handles.bind(*wire, kind, silo);
             }
             if record.category == RecordCategory::Alloc {
                 if let Some((wire, _)) = record.produced.first() {
-                    if let Some(bytes) = server.estimate_mem(&func, &record.args) {
-                        server.mem_sizes.insert(*wire, bytes);
+                    if let Some(bytes) = self.estimate_mem(&func, &record.args) {
+                        self.mem_sizes.insert(*wire, bytes);
                     }
                 }
             }
             if record.category == RecordCategory::Modify {
-                server.note_deps(&func, &record.args);
+                self.note_deps(&func, &record.args);
             }
-            server.records.record(
+            self.records.record(
                 record.fn_id,
                 record.args.clone(),
                 record.category,
@@ -1275,7 +1287,7 @@ impl ApiServer {
         }
         // Restore payloads.
         for (wire, data) in &image.buffers {
-            let entry = server
+            let entry = self
                 .handles
                 .get(*wire)
                 .cloned()
@@ -1284,11 +1296,7 @@ impl ApiServer {
                 )))?;
             match entry.state {
                 HandleState::Live(silo) => {
-                    if !server
-                        .handler
-                        .lock()
-                        .restore_object(&entry.kind, silo, data)
-                    {
+                    if !self.handler.lock().restore_object(&entry.kind, silo, data) {
                         return Err(ServerError::Replay(format!(
                             "payload restore failed for {wire:#x}"
                         )));
@@ -1303,9 +1311,9 @@ impl ApiServer {
         }
         // Carry the at-most-once state across the migration so guest
         // retries straddling it are still answered, never re-executed.
-        server.reply_cache = image.replies.iter().cloned().collect();
-        server.highwater = image.highwater;
-        Ok(server)
+        self.reply_cache = image.replies.iter().cloned().collect();
+        self.highwater = image.highwater;
+        Ok(())
     }
 }
 
