@@ -3,11 +3,16 @@
 //! forced cache desync (NACK/resend convergence). Results must be
 //! bit-identical with the cache on, off, or mid-heal — the cache is a
 //! transport optimization, never a semantic. (The epoch reset every
-//! relocation announces is asserted by `relocation_e2e`.)
+//! relocation announces is asserted by `relocation_e2e`.) Also pins the
+//! zero-copy handoff: an upload reaches the server as the guest's own
+//! allocation.
+
+use std::sync::Arc;
 
 use ava_core::{opencl_stack, GuestConfig, OpenClClient, StackConfig};
 use ava_hypervisor::VmPolicy;
 use ava_transport::{CostModel, TransportKind};
+use ava_wire::Value;
 use simcl::types::*;
 use simcl::{ClApi, SimCl};
 
@@ -104,6 +109,61 @@ fn elision_preserves_results_and_halves_payload_bytes() {
     assert_eq!(on.cache_hits, iters as u64 - 1);
     assert_eq!(guest.payload_cache_misses, 0);
     assert_eq!(server.payload_cache_misses, 0);
+}
+
+#[test]
+fn a_shared_memory_upload_reaches_the_server_without_a_copy() {
+    // The guest↔router ring passes buffers by reference and the
+    // router↔server hop moves messages whole, so the server executes — and
+    // journals — the very allocation the caller made. Guards against a copy
+    // creeping back into the data path.
+    let stack = opencl_stack(SimCl::new(), config(0)).unwrap();
+    let (vm, lib) = stack.attach_vm(VmPolicy::default()).unwrap();
+    let client = OpenClClient::new(Arc::clone(&lib));
+    let platform = client.get_platform_ids().unwrap()[0];
+    let device = client.get_device_ids(platform, DeviceType::All).unwrap()[0];
+    let ctx = client.create_context(device).unwrap();
+    let queue = client
+        .create_command_queue(ctx, device, QueueProps::default())
+        .unwrap();
+    let data = payload(1 << 20);
+    let buf = client
+        .create_buffer(ctx, MemFlags::read_write(), data.len(), None)
+        .unwrap();
+    let upload = Value::Bytes(data.clone().into());
+    lib.call(
+        "clEnqueueWriteBuffer",
+        vec![
+            Value::Handle(queue.raw()),
+            Value::Handle(buf.raw()),
+            Value::U32(1),
+            Value::U64(0),
+            Value::U64(data.len() as u64),
+            upload.clone(),
+            Value::U32(0),
+            Value::Null,
+            Value::Null,
+        ],
+    )
+    .unwrap();
+    let mut out = vec![0u8; data.len()];
+    client
+        .enqueue_read_buffer(queue, buf, true, 0, &mut out, &[], false)
+        .unwrap();
+    assert_eq!(out, data);
+
+    let journal = stack.vm_journal(vm).unwrap();
+    let executed = journal
+        .entries()
+        .iter()
+        .flat_map(|entry| &entry.request.args)
+        .find_map(|arg| arg.as_bytes().filter(|b| b.len() == data.len()))
+        .expect("the write is journaled");
+    assert_eq!(
+        executed.as_ptr(),
+        upload.as_bytes().unwrap().as_ptr(),
+        "the server executed on a copy of the guest's buffer"
+    );
 }
 
 #[test]

@@ -19,9 +19,10 @@ pub struct CostModel {
     /// One-way delivery latency before the message becomes visible to the
     /// receiver (interrupt injection, scheduling, or network propagation).
     pub delivery_latency: Duration,
-    /// Payload bandwidth in bytes per second; `None` means unbounded
-    /// (payloads still pay memcpy time on real hardware, but that is already
-    /// captured by the actual copy the ring performs).
+    /// Payload bandwidth in bytes per second; `None` means unbounded. On
+    /// the shared-memory ring this is the only per-byte cost: payloads
+    /// pass by descriptor and are never copied through the ring, so the
+    /// link's bandwidth exists only as this modelled term.
     pub bytes_per_sec: Option<u64>,
 }
 

@@ -10,10 +10,11 @@
 //!
 //! * [`inproc`] — an in-process channel; the "ideal" transport used as the
 //!   zero-overhead baseline and in unit tests.
-//! * [`shmem`] — a virtio-style shared-memory ring: messages are actually
-//!   serialized into a byte ring guarded by atomics, with a [`CostModel`]
-//!   charging doorbell/exit and delivery costs. This is the default
-//!   para-virtual transport.
+//! * [`shmem`] — a virtio-style shared-memory ring: frames are actually
+//!   serialized into a byte ring guarded by atomics, payload buffers pass
+//!   beside them by descriptor, and a [`CostModel`] charges doorbell/exit,
+//!   delivery and bandwidth costs. This is the default para-virtual
+//!   transport.
 //! * [`tcp`] — a socket transport for disaggregated accelerators (the
 //!   LegoOS-style configuration mentioned in §4.1).
 

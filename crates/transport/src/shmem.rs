@@ -1,10 +1,18 @@
 //! Virtio-style shared-memory ring transport.
 //!
 //! This is the para-virtual transport AvA uses between a guest VM and the
-//! hypervisor router. Unlike the in-process channel, messages are *actually
-//! serialized* into a byte ring shared between producer and consumer, so a
-//! guest cannot pass host pointers, and the hypervisor can account for every
-//! byte that crosses — the property §3 relies on for interposition.
+//! hypervisor router. Unlike the in-process channel, every message's frame
+//! is *actually serialized* into a byte ring shared between producer and
+//! consumer, and the hypervisor accounts for every payload byte that
+//! crosses — the property §3 relies on for interposition. Payloads do not
+//! enter the ring: they are immutable, guest-owned buffers passed by
+//! descriptor, the way virtio indirect descriptors work. The frame carries
+//! a descriptor (tag + length) per `Value::Bytes`
+//! ([`Message::encode_indirect`]); the buffers themselves — refcounted
+//! handles, never host pointers a guest could forge — ride in a
+//! per-direction descriptor table both ring ends share, and the receiver
+//! re-attaches them while decoding. The server therefore executes on the
+//! very allocation the guest made.
 //!
 //! Each direction is a single-producer/single-consumer byte ring guarded by
 //! monotonically increasing head/tail counters (`Acquire`/`Release`
@@ -14,22 +22,29 @@
 //! Frame layout inside the ring:
 //!
 //! ```text
-//! [u64 deliver_at_nanos (LE)] [u32 len_and_flag (LE)] [len bytes]
+//! [u64 deliver_at_nanos (LE)] [u32 len_and_flags (LE)] [len bytes]
 //! ```
 //!
 //! `deliver_at_nanos` is relative to the ring's shared epoch and implements
 //! the transport [`CostModel`]'s delivery latency. The top bit of
-//! `len_and_flag` marks a *fragment*: messages larger than a quarter of the
+//! `len_and_flags` marks a *fragment*: frames larger than a quarter of the
 //! ring are split into chained fragments (the software analogue of virtio
-//! descriptor chains), so arbitrarily large payloads flow through a
-//! fixed-size ring.
+//! descriptor chains), so arbitrarily large frames flow through a
+//! fixed-size ring. The next bit marks the last fragment of a frame that
+//! owns a descriptor-table entry. That entry is published under the same
+//! tail store as the fragment, so it becomes visible exactly with its
+//! frame: a send that fails on a dead ring leaves nothing behind, and a
+//! frame whose descriptors do not match its entry is refused as
+//! [`TransportError::Poisoned`], never decoded with a wrong buffer.
 
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ava_wire::Message;
+use ava_wire::{Message, WireError};
+use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, TransportError};
@@ -42,6 +57,13 @@ const HEADER: usize = 12;
 
 /// Top bit of the length word: more fragments follow.
 const MORE_FRAGMENTS: u32 = 1 << 31;
+
+/// Length-word bit: this is the last fragment of a frame whose buffers sit
+/// in the descriptor table.
+const INDIRECT: u32 = 1 << 30;
+
+/// The length bits of the length word.
+const LEN_MASK: u32 = INDIRECT - 1;
 
 /// Configuration for a shared-memory ring pair.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +98,9 @@ struct Ring {
     /// still in the ring are considered lost and both sides observe
     /// [`TransportError::Disconnected`].
     disconnected: AtomicBool,
+    /// The descriptor table: the buffers of each published frame flagged
+    /// [`INDIRECT`], one entry per frame, in ring order.
+    table: Mutex<VecDeque<Vec<Bytes>>>,
     /// Doorbell: wakes a consumer waiting for data.
     doorbell: Mutex<()>,
     doorbell_cv: Condvar,
@@ -93,10 +118,21 @@ struct Ring {
 // `head`. Each byte is therefore never accessed mutably by one thread while
 // the other reads it, and the Acquire/Release pairs provide the required
 // happens-before edges for the data written through the `UnsafeCell`s.
+// Every other field (atomics, the descriptor table and doorbells behind
+// their mutexes, condvars, the epoch) is `Sync` on its own.
 unsafe impl Sync for Ring {}
 // SAFETY: all fields are owned values; sending the Arc'd ring between
 // threads moves no thread-affine state.
 unsafe impl Send for Ring {}
+
+/// One frame (or fragment) popped off a ring.
+struct Fragment {
+    deliver_at_nanos: u64,
+    bytes: Vec<u8>,
+    more: bool,
+    /// The frame's descriptor-table entry, carried by its last fragment.
+    entry: Option<Vec<Bytes>>,
+}
 
 impl Ring {
     fn new(capacity: usize, epoch: Instant) -> Arc<Self> {
@@ -107,6 +143,7 @@ impl Ring {
             tail: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             disconnected: AtomicBool::new(false),
+            table: Mutex::new(VecDeque::new()),
             doorbell: Mutex::new(()),
             doorbell_cv: Condvar::new(),
             space: Mutex::new(()),
@@ -131,8 +168,18 @@ impl Ring {
 
     fn disconnect(&self) {
         self.disconnected.store(true, Ordering::Release);
+        // In-flight frames are lost, and so are the buffers they reference.
+        // Set before the clear: a producer checks the flag under this lock.
+        self.table.lock().clear();
         self.doorbell_cv.notify_all();
         self.space_cv.notify_all();
+    }
+
+    /// Kills a ring whose frames and descriptor table disagree: nothing
+    /// after the bad frame can be trusted to pair with the right buffers.
+    fn poison(&self) -> TransportError {
+        self.disconnect();
+        TransportError::Poisoned
     }
 
     /// Returns the error a dead ring should surface, if any. A hard
@@ -184,9 +231,16 @@ impl Ring {
     }
 
     /// Producer: appends one frame (or fragment), blocking while the ring
-    /// is full.
-    fn push_frame(&self, deliver_at_nanos: u64, payload: &[u8], more: bool) -> Result<()> {
-        let need = HEADER + payload.len();
+    /// is full. `entry` — the frame's buffers, passed with its last
+    /// fragment — is published together with the fragment.
+    fn push_frame(
+        &self,
+        deliver_at_nanos: u64,
+        bytes: &[u8],
+        more: bool,
+        entry: Option<Vec<Bytes>>,
+    ) -> Result<()> {
+        let need = HEADER + bytes.len();
         if need > self.capacity() {
             return Err(TransportError::FrameTooLarge {
                 size: need,
@@ -217,13 +271,31 @@ impl Ring {
                 .wait_for(&mut guard, Duration::from_millis(50));
         }
         let tail = self.tail.load(Ordering::Relaxed);
+        let mut len_word = bytes.len() as u32;
+        if more {
+            len_word |= MORE_FRAGMENTS;
+        }
+        if entry.is_some() {
+            len_word |= INDIRECT;
+        }
         let mut header = [0u8; HEADER];
         header[..8].copy_from_slice(&deliver_at_nanos.to_le_bytes());
-        let len_word = payload.len() as u32 | if more { MORE_FRAGMENTS } else { 0 };
         header[8..].copy_from_slice(&len_word.to_le_bytes());
         self.write_bytes(tail, &header);
-        self.write_bytes(tail + HEADER, payload);
-        self.tail.store(tail + need, Ordering::Release);
+        self.write_bytes(tail + HEADER, bytes);
+        match entry {
+            // The entry and its frame become visible together, and never on
+            // a dead ring: `disconnect` clears the table under this lock.
+            Some(entry) => {
+                let mut table = self.table.lock();
+                if let Some(err) = self.dead() {
+                    return Err(err);
+                }
+                table.push_back(entry);
+                self.tail.store(tail + need, Ordering::Release);
+            }
+            None => self.tail.store(tail + need, Ordering::Release),
+        }
         // Ring the doorbell.
         {
             let _guard = self.doorbell.lock();
@@ -232,9 +304,8 @@ impl Ring {
         Ok(())
     }
 
-    /// Consumer: pops one frame (or fragment) if available. Returns the
-    /// deliver-at nanos, the bytes, and whether more fragments follow.
-    fn try_pop_frame(&self) -> Result<Option<(u64, Vec<u8>, bool)>> {
+    /// Consumer: pops one frame (or fragment) if available.
+    fn try_pop_frame(&self) -> Result<Option<Fragment>> {
         // A hard disconnect loses in-flight frames: error out even if bytes
         // remain in the ring, so a consumer never acts on traffic from a
         // peer that crashed mid-conversation.
@@ -251,27 +322,38 @@ impl Ring {
         }
         let mut header = [0u8; HEADER];
         self.read_bytes(head, &mut header);
-        let deliver = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
+        let deliver_at_nanos = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
         let len_word = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
-        let more = len_word & MORE_FRAGMENTS != 0;
-        let len = (len_word & !MORE_FRAGMENTS) as usize;
+        let len = (len_word & LEN_MASK) as usize;
         if tail - head < HEADER + len {
             // Frame not fully published yet (cannot happen with Release
             // ordering on tail, but be defensive).
             return Ok(None);
         }
-        let mut payload = vec![0u8; len];
-        self.read_bytes(head + HEADER, &mut payload);
+        let entry = if len_word & INDIRECT == 0 {
+            None
+        } else {
+            // Bound first: the guard must be gone before `poison` relocks.
+            let popped = self.table.lock().pop_front();
+            Some(popped.ok_or_else(|| self.poison())?)
+        };
+        let mut bytes = vec![0u8; len];
+        self.read_bytes(head + HEADER, &mut bytes);
         self.head.store(head + HEADER + len, Ordering::Release);
         {
             let _guard = self.space.lock();
             self.space_cv.notify_one();
         }
-        Ok(Some((deliver, payload, more)))
+        Ok(Some(Fragment {
+            deliver_at_nanos,
+            bytes,
+            more: len_word & MORE_FRAGMENTS != 0,
+            entry,
+        }))
     }
 
     /// Consumer: pops one frame, blocking up to `timeout` (`None` = forever).
-    fn pop_frame(&self, timeout: Option<Duration>) -> Result<Option<(u64, Vec<u8>, bool)>> {
+    fn pop_frame(&self, timeout: Option<Duration>) -> Result<Option<Fragment>> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(frame) = self.try_pop_frame()? {
@@ -315,8 +397,9 @@ pub struct ShmemTransport {
     rx_ring: Arc<Ring>,
     model: CostModel,
     stats: Arc<StatsCell>,
-    /// Serializes senders (the ring itself is single-producer).
-    send_lock: Mutex<()>,
+    /// Frame encode buffer, reused across sends. Its lock serializes
+    /// senders (the ring itself is single-producer).
+    send_frame: Mutex<BytesMut>,
     /// Serializes receivers.
     recv_lock: Mutex<()>,
 }
@@ -326,28 +409,21 @@ pub fn pair(config: RingConfig) -> (ShmemTransport, ShmemTransport) {
     let epoch = Instant::now();
     let ab = Ring::new(config.capacity, epoch);
     let ba = Ring::new(config.capacity, epoch);
-    let a = ShmemTransport {
-        tx_ring: Arc::clone(&ab),
-        rx_ring: Arc::clone(&ba),
+    let endpoint = |tx_ring, rx_ring| ShmemTransport {
+        tx_ring,
+        rx_ring,
         model: config.model,
         stats: StatsCell::new(),
-        send_lock: Mutex::new(()),
+        send_frame: Mutex::new(BytesMut::new()),
         recv_lock: Mutex::new(()),
     };
-    let b = ShmemTransport {
-        tx_ring: ba,
-        rx_ring: ab,
-        model: config.model,
-        stats: StatsCell::new(),
-        send_lock: Mutex::new(()),
-        recv_lock: Mutex::new(()),
-    };
-    (a, b)
+    (endpoint(Arc::clone(&ab), Arc::clone(&ba)), endpoint(ba, ab))
 }
 
 impl ShmemTransport {
     /// Simulates an abrupt peer crash: both directions observe
-    /// [`TransportError::Disconnected`] and any in-flight frames are lost.
+    /// [`TransportError::Disconnected`] and any in-flight frames are lost,
+    /// together with the buffers they reference.
     /// Contrast with [`Transport::close`], which is an orderly shutdown.
     pub fn disconnect(&self) {
         self.tx_ring.disconnect();
@@ -357,56 +433,68 @@ impl ShmemTransport {
     /// Largest single fragment: a quarter of the ring, so a chained
     /// message cannot monopolize it.
     fn max_fragment(&self) -> usize {
-        (self.tx_ring.capacity() / 4).saturating_sub(HEADER).max(1)
+        (self.tx_ring.capacity() / 4)
+            .saturating_sub(HEADER)
+            .clamp(1, LEN_MASK as usize)
     }
 
-    /// Reassembles any remaining fragments after the first, then decodes.
-    fn finish_recv(
-        &self,
-        deliver_nanos: u64,
-        mut payload: Vec<u8>,
-        mut more: bool,
-    ) -> Result<Message> {
+    /// Reassembles any remaining fragments after the first, then decodes,
+    /// re-attaching the frame's buffers from its descriptor-table entry.
+    fn finish_recv(&self, first: Fragment) -> Result<Message> {
+        let Fragment {
+            deliver_at_nanos,
+            mut bytes,
+            mut more,
+            mut entry,
+        } = first;
+        let mut ring_bytes = HEADER + bytes.len();
         while more {
             match self.rx_ring.pop_frame(None)? {
-                Some((_nanos, chunk, chunk_more)) => {
-                    payload.extend_from_slice(&chunk);
-                    more = chunk_more;
+                Some(next) => {
+                    bytes.extend_from_slice(&next.bytes);
+                    ring_bytes += HEADER + next.bytes.len();
+                    more = next.more;
+                    entry = next.entry;
                 }
                 None => return Err(TransportError::Closed),
             }
         }
-        let deliver_at = self.rx_ring.epoch + Duration::from_nanos(deliver_nanos);
+        let deliver_at = self.rx_ring.epoch + Duration::from_nanos(deliver_at_nanos);
         wait_until(deliver_at);
-        let frame_bytes = payload.len() + HEADER;
-        let msg = Message::decode(bytes::Bytes::from(payload))?;
-        self.stats.on_recv(msg.payload_bytes(), frame_bytes);
+        let msg = Message::decode_indirect(Bytes::from(bytes), entry.unwrap_or_default()).map_err(
+            |e| match e {
+                WireError::DescriptorMismatch => self.rx_ring.poison(),
+                other => TransportError::Decode(other),
+            },
+        )?;
+        self.stats.on_recv(msg.payload_bytes(), ring_bytes);
         Ok(msg)
     }
 }
 
 impl Transport for ShmemTransport {
     fn send(&self, msg: &Message) -> Result<()> {
-        let _guard = self.send_lock.lock();
-        let encoded = msg.encode();
+        let mut frame = self.send_frame.lock();
+        frame.clear();
+        let mut refs = Vec::new();
+        msg.encode_indirect(&mut frame, &mut refs);
+        let payload_bytes = msg.payload_bytes();
         let now = Instant::now();
-        let deliver_at = self.model.deliver_at(now, msg.payload_bytes());
+        let deliver_at = self.model.deliver_at(now, payload_bytes);
         let deliver_nanos = deliver_at
             .saturating_duration_since(self.tx_ring.epoch)
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
         let max = self.max_fragment();
-        if encoded.len() <= max {
-            self.tx_ring.push_frame(deliver_nanos, &encoded, false)?;
-        } else {
-            let mut chunks = encoded.chunks(max).peekable();
-            while let Some(chunk) = chunks.next() {
-                let more = chunks.peek().is_some();
-                self.tx_ring.push_frame(deliver_nanos, chunk, more)?;
-            }
+        let mut entry = (!refs.is_empty()).then_some(refs);
+        let mut chunks = frame.chunks(max).peekable();
+        while let Some(chunk) = chunks.next() {
+            let more = chunks.peek().is_some();
+            let entry = if more { None } else { entry.take() };
+            self.tx_ring.push_frame(deliver_nanos, chunk, more, entry)?;
         }
-        self.stats
-            .on_send(msg.payload_bytes(), encoded.len() + HEADER);
+        let ring_bytes = frame.len() + HEADER * frame.len().div_ceil(max);
+        self.stats.on_send(payload_bytes, ring_bytes);
         wait_until(now + self.model.sender_overhead);
         Ok(())
     }
@@ -414,7 +502,7 @@ impl Transport for ShmemTransport {
     fn recv(&self) -> Result<Message> {
         let _guard = self.recv_lock.lock();
         match self.rx_ring.pop_frame(None)? {
-            Some((deliver, payload, more)) => self.finish_recv(deliver, payload, more),
+            Some(first) => self.finish_recv(first),
             None => Err(TransportError::Closed),
         }
     }
@@ -422,7 +510,7 @@ impl Transport for ShmemTransport {
     fn try_recv(&self) -> Result<Option<Message>> {
         let _guard = self.recv_lock.lock();
         match self.rx_ring.try_pop_frame()? {
-            Some((deliver, payload, more)) => self.finish_recv(deliver, payload, more).map(Some),
+            Some(first) => self.finish_recv(first).map(Some),
             None => Ok(None),
         }
     }
@@ -430,7 +518,7 @@ impl Transport for ShmemTransport {
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
         let _guard = self.recv_lock.lock();
         match self.rx_ring.pop_frame(Some(timeout))? {
-            Some((deliver, payload, more)) => self.finish_recv(deliver, payload, more).map(Some),
+            Some(first) => self.finish_recv(first).map(Some),
             None => Ok(None),
         }
     }
@@ -458,23 +546,47 @@ impl Drop for ShmemTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_wire::{CallMode, CallRequest, ControlMessage, Value};
+    use ava_wire::{CallMode, CallRequest, ControlMessage, Value, MAX_BATCH_CALLS};
 
-    fn free_pair() -> (ShmemTransport, ShmemTransport) {
+    fn ring_pair(capacity: usize) -> (ShmemTransport, ShmemTransport) {
         pair(RingConfig {
-            capacity: 1 << 16,
+            capacity,
             model: CostModel::free(),
         })
     }
 
-    fn call(id: u64, bytes: usize) -> Message {
-        Message::Call(CallRequest {
+    fn free_pair() -> (ShmemTransport, ShmemTransport) {
+        ring_pair(1 << 16)
+    }
+
+    fn request(id: u64, args: Vec<Value>) -> CallRequest {
+        CallRequest {
             call_id: id,
             fn_id: 9,
             mode: CallMode::Sync,
-            args: vec![Value::Bytes(bytes::Bytes::from(vec![0xabu8; bytes]))],
+            args,
             budget_us: 0,
-        })
+        }
+    }
+
+    /// A call carrying a `bytes`-long buffer, which passes by reference.
+    fn call(id: u64, bytes: usize) -> Message {
+        Message::Call(request(
+            id,
+            vec![Value::Bytes(Bytes::from(vec![0xabu8; bytes]))],
+        ))
+    }
+
+    fn text(id: u64, len: usize) -> String {
+        (0..len)
+            .map(|i| char::from(b'a' + ((i as u64 + id) % 26) as u8))
+            .collect()
+    }
+
+    /// A payload-free call whose frame is about `len` bytes: strings are
+    /// encoded inline, so it occupies the ring the way a buffer used to.
+    fn str_call(id: u64, len: usize) -> Message {
+        Message::Call(request(id, vec![Value::Str(text(id, len))]))
     }
 
     #[test]
@@ -482,7 +594,16 @@ mod tests {
         let (a, b) = free_pair();
         let msg = call(7, 100);
         a.send(&msg).unwrap();
-        assert_eq!(b.recv().unwrap(), msg);
+        let got = b.recv().unwrap();
+        assert_eq!(got, msg);
+        let (Message::Call(sent), Message::Call(received)) = (&msg, &got) else {
+            panic!("{got:?}");
+        };
+        assert_eq!(
+            sent.args[0].as_bytes().unwrap().as_ptr(),
+            received.args[0].as_bytes().unwrap().as_ptr(),
+            "the payload was copied"
+        );
     }
 
     #[test]
@@ -509,14 +630,11 @@ mod tests {
     #[test]
     fn wraparound_is_exercised() {
         // Ring far smaller than total traffic forces many wraps; also use
-        // payloads larger than half the ring to hit the split-copy path.
-        let (a, b) = pair(RingConfig {
-            capacity: 4096,
-            model: CostModel::free(),
-        });
+        // frames larger than half the ring to hit the split-copy path.
+        let (a, b) = ring_pair(4096);
         let sender = std::thread::spawn(move || {
             for i in 0..200 {
-                a.send(&call(i, 1500)).unwrap();
+                a.send(&str_call(i, 1500)).unwrap();
             }
             a
         });
@@ -524,8 +642,7 @@ mod tests {
             match b.recv().unwrap() {
                 Message::Call(req) => {
                     assert_eq!(req.call_id, i);
-                    let data = req.args[0].as_bytes().unwrap();
-                    assert!(data.iter().all(|&x| x == 0xab));
+                    assert_eq!(req.args[0].as_str().unwrap(), text(i, 1500));
                 }
                 other => panic!("{other:?}"),
             }
@@ -535,12 +652,11 @@ mod tests {
 
     #[test]
     fn oversized_messages_fragment_and_reassemble() {
-        // 4 KiB ring, 64 KiB payload: must chain ~64 fragments.
-        let (a, b) = pair(RingConfig {
-            capacity: 4096,
-            model: CostModel::free(),
-        });
-        let msg = call(1, 64 * 1024);
+        // 4 KiB ring, a ~80 KiB list of handles: must chain ~80 fragments.
+        let (a, b) = ring_pair(4096);
+        let handles = (0..24_000).map(Value::Handle).collect();
+        let msg = Message::Call(request(1, vec![Value::List(handles)]));
+        assert!(msg.encode().len() > 64 * 1024);
         let expected = msg.clone();
         let sender = std::thread::spawn(move || {
             a.send(&msg).unwrap();
@@ -552,23 +668,38 @@ mod tests {
 
     #[test]
     fn interleaved_large_and_small_messages() {
-        let (a, b) = pair(RingConfig {
-            capacity: 8192,
-            model: CostModel::free(),
-        });
+        // A full batch (~32 KiB of frame) every third message.
+        let full_batch = |id: u64| {
+            Message::Batch(
+                (0..MAX_BATCH_CALLS as u64)
+                    .map(|k| request(id, vec![Value::Handle(k)]))
+                    .collect(),
+            )
+        };
+        assert!(full_batch(0).encode().len() > 24 * 1024);
+        let (a, b) = ring_pair(8192);
         let sender = std::thread::spawn(move || {
             for i in 0..20 {
-                let size = if i % 3 == 0 { 32 * 1024 } else { 16 };
-                a.send(&call(i, size)).unwrap();
+                let msg = if i % 3 == 0 {
+                    full_batch(i)
+                } else {
+                    str_call(i, 16)
+                };
+                a.send(&msg).unwrap();
             }
             a
         });
         for i in 0..20 {
             match b.recv().unwrap() {
+                Message::Batch(reqs) => {
+                    assert_eq!(i % 3, 0);
+                    assert_eq!(reqs.len(), MAX_BATCH_CALLS);
+                    assert!(reqs.iter().all(|r| r.call_id == i));
+                }
                 Message::Call(req) => {
+                    assert_ne!(i % 3, 0);
                     assert_eq!(req.call_id, i);
-                    let expect = if i % 3 == 0 { 32 * 1024 } else { 16 };
-                    assert_eq!(req.payload_bytes(), expect);
+                    assert_eq!(req.payload_bytes(), 16);
                 }
                 other => panic!("{other:?}"),
             }
@@ -578,15 +709,12 @@ mod tests {
 
     #[test]
     fn full_ring_blocks_until_drained() {
-        let (a, b) = pair(RingConfig {
-            capacity: 2048,
-            model: CostModel::free(),
-        });
+        let (a, b) = ring_pair(2048);
         // Fill with ~4 frames of ~400 bytes; the 6th send must block until
         // the receiver drains.
         let sender = std::thread::spawn(move || {
             for i in 0..10 {
-                a.send(&call(i, 400)).unwrap();
+                a.send(&str_call(i, 400)).unwrap();
             }
             a
         });
@@ -647,17 +775,96 @@ mod tests {
     }
 
     #[test]
+    fn disconnect_drops_queued_buffers_and_close_keeps_them() {
+        let (a, b) = free_pair();
+        a.send(&call(1, 4096)).unwrap();
+        a.send(&call(2, 4096)).unwrap();
+        assert_eq!(a.tx_ring.table.lock().len(), 2);
+        a.disconnect();
+        assert!(a.tx_ring.table.lock().is_empty());
+        assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
+
+        // An orderly close keeps what was published before it receivable.
+        let (c, d) = free_pair();
+        c.send(&call(3, 4096)).unwrap();
+        c.close();
+        assert_eq!(c.tx_ring.table.lock().len(), 1);
+        assert_eq!(d.recv().unwrap(), call(3, 4096));
+        assert_eq!(d.recv().unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn an_entry_becomes_visible_only_with_its_frame() {
+        let (a, b) = ring_pair(2048);
+        // Fill the ring to the last byte so the next frame must wait.
+        a.tx_ring
+            .push_frame(0, &[0u8; 2048 - HEADER], false, None)
+            .unwrap();
+        let a = Arc::new(a);
+        let sender = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || a.send(&call(1, 1 << 20)))
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            a.tx_ring.table.lock().is_empty(),
+            "entry published ahead of its frame"
+        );
+        b.disconnect();
+        assert_eq!(
+            sender.join().unwrap().unwrap_err(),
+            TransportError::Disconnected
+        );
+        assert!(
+            a.tx_ring.table.lock().is_empty(),
+            "a failed send left its buffers behind"
+        );
+        // A ring that is already dead refuses the send the same way.
+        let (c, d) = free_pair();
+        d.close();
+        assert_eq!(c.send(&call(2, 64)).unwrap_err(), TransportError::Closed);
+        assert!(c.tx_ring.table.lock().is_empty());
+    }
+
+    #[test]
+    fn mismatched_descriptors_are_poisoned_never_decoded() {
+        let msg = call(1, 32);
+        let mut frame = BytesMut::new();
+        let mut refs = Vec::new();
+        msg.encode_indirect(&mut frame, &mut refs);
+        let buf = refs[0].clone();
+        let short = Bytes::from(vec![0xabu8; 31]);
+        for entry in [
+            None,                         // descriptor, but no entry
+            Some(vec![]),                 // entry one buffer short
+            Some(vec![buf.clone(), buf]), // entry one buffer over
+            Some(vec![short]),            // entry of the wrong length
+        ] {
+            let (a, b) = free_pair();
+            a.tx_ring.push_frame(0, &frame, false, entry).unwrap();
+            a.send(&msg).unwrap();
+            assert_eq!(b.recv().unwrap_err(), TransportError::Poisoned);
+            // The ring is dead from then on: the well-formed frame behind
+            // the bad one is not paired with anything.
+            assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
+            assert!(a.tx_ring.table.lock().is_empty());
+        }
+        // A frame flagged as owning an entry, with the table empty.
+        let (a, b) = free_pair();
+        a.tx_ring.push_frame(0, &frame, false, Some(refs)).unwrap();
+        a.tx_ring.table.lock().clear();
+        assert_eq!(b.recv().unwrap_err(), TransportError::Poisoned);
+    }
+
+    #[test]
     fn ring_full_with_dead_consumer_errors_instead_of_blocking() {
-        let (a, b) = pair(RingConfig {
-            capacity: 2048,
-            model: CostModel::free(),
-        });
+        let (a, b) = ring_pair(2048);
         // Fill the ring with no consumer draining it, then kill the
         // consumer. The blocked producer must unwedge with an error.
         let producer = std::thread::spawn(move || {
             let mut result = Ok(());
             for i in 0..50 {
-                result = a.send(&call(i, 400));
+                result = a.send(&str_call(i, 400));
                 if result.is_err() {
                     break;
                 }
@@ -702,20 +909,30 @@ mod tests {
 
     #[test]
     fn frame_bytes_are_counted() {
+        // One 64 KiB buffer (by reference) and one 40 KiB string (inline,
+        // three fragments through this ring).
         let (a, b) = free_pair();
-        a.send(&call(1, 64)).unwrap();
+        a.send(&call(1, 64 * 1024)).unwrap();
+        a.send(&str_call(2, 40 * 1024)).unwrap();
+        b.recv().unwrap();
         b.recv().unwrap();
         let s = a.stats();
-        assert_eq!(s.messages_sent, 1);
-        assert!(s.frame_bytes_sent > 64, "frame must include headers");
-        assert_eq!(s.payload_bytes_sent, 64);
-        let r = b.stats();
-        assert_eq!(r.messages_received, 1);
+        assert_eq!(s.messages_sent, 2);
         assert_eq!(
-            r.frame_bytes_received, s.frame_bytes_sent,
-            "receiver sees the same encoded frame the sender put on the ring"
+            s.payload_bytes_sent,
+            104 * 1024,
+            "payload accounting counts by-reference buffers"
         );
-        assert_eq!(r.payload_bytes_received, 64);
+        let ring_bytes = a.tx_ring.tail.load(Ordering::Acquire) as u64;
+        assert_eq!(
+            s.frame_bytes_sent, ring_bytes,
+            "frame bytes are exactly what the ring carried"
+        );
+        assert!(ring_bytes < 41 * 1024, "the buffer entered the ring");
+        let r = b.stats();
+        assert_eq!(r.messages_received, 2);
+        assert_eq!(r.frame_bytes_received, ring_bytes);
+        assert_eq!(r.payload_bytes_received, s.payload_bytes_sent);
     }
 
     #[test]

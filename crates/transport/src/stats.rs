@@ -23,11 +23,14 @@ pub struct TransportStats {
     pub payload_bytes_sent: u64,
     /// Payload bytes received.
     pub payload_bytes_received: u64,
-    /// Encoded frame bytes sent (headers + encoding overhead included);
-    /// zero on transports that do not serialize.
+    /// Bytes the transport's channel itself carried for the messages sent,
+    /// headers included: the whole encoded frame on TCP; on the
+    /// shared-memory ring, exactly the ring bytes — frames and their
+    /// buffer descriptors, not the payloads, which pass by reference (so
+    /// this can be far below `payload_bytes_sent`). Zero on transports that
+    /// do not serialize.
     pub frame_bytes_sent: u64,
-    /// Encoded frame bytes received; zero on transports that do not
-    /// serialize.
+    /// Channel bytes received, counted as for `frame_bytes_sent`.
     pub frame_bytes_received: u64,
 }
 
@@ -55,8 +58,8 @@ impl StatsCell {
         self.frame_bytes_sent.add(frame_bytes as u64);
     }
 
-    /// Records a received message. `frame_bytes` is the encoded frame
-    /// length (zero for transports that hand over structured messages).
+    /// Records a received message. `frame_bytes` is what the channel
+    /// carried (zero for transports that hand over structured messages).
     pub fn on_recv(&self, payload_bytes: usize, frame_bytes: usize) {
         self.messages_received.inc();
         self.payload_bytes_received.add(payload_bytes as u64);

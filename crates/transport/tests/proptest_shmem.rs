@@ -7,6 +7,8 @@ use ava_transport::{CostModel, Transport};
 use ava_wire::{CallMode, CallRequest, Message, Value};
 use proptest::prelude::*;
 
+/// A call with a buffer (passed by reference) and a string of the same
+/// size (encoded inline, so the frame itself fragments through the ring).
 fn message(id: u64, payload: &[u8]) -> Message {
     Message::Call(CallRequest {
         call_id: id,
@@ -16,7 +18,11 @@ fn message(id: u64, payload: &[u8]) -> Message {
         } else {
             CallMode::Async
         },
-        args: vec![Value::U64(id), Value::Bytes(payload.to_vec().into())],
+        args: vec![
+            Value::U64(id),
+            Value::Bytes(payload.to_vec().into()),
+            Value::Str(payload.iter().map(|&b| char::from(b % 94 + 33)).collect()),
+        ],
         budget_us: 0,
     })
 }

@@ -23,6 +23,9 @@ pub enum WireError {
     BadDiscriminant(&'static str, u64),
     /// A batch frame claimed more member calls than the protocol allows.
     BatchTooLarge(usize),
+    /// A by-reference frame's descriptors did not match the buffers handed
+    /// over with it (count, or any length).
+    DescriptorMismatch,
 }
 
 impl fmt::Display for WireError {
@@ -40,6 +43,9 @@ impl fmt::Display for WireError {
             }
             Self::BatchTooLarge(n) => {
                 write!(f, "batch of {n} calls exceeds the per-frame cap")
+            }
+            Self::DescriptorMismatch => {
+                write!(f, "payload descriptors do not match the attached buffers")
             }
         }
     }

@@ -17,6 +17,13 @@
 //! The format contains no pointers and no host-specific sizes, so it is safe
 //! to exchange between guest and host address spaces, or across machines for
 //! disaggregated accelerators.
+//!
+//! A transport whose two ends share memory uses the codec's by-reference
+//! mode ([`Message::encode_indirect`] / [`Message::decode_indirect`]): buffer
+//! contents stay out of the frame, which carries only a descriptor (tag and
+//! length) per buffer, and the immutable buffers travel beside it. Plain
+//! [`Message::decode`] rejects the descriptor tag, so a serializing
+//! transport can never be handed a reference.
 
 mod cache;
 mod error;

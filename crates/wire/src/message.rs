@@ -3,6 +3,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::codec::{get_len, get_varint, put_varint};
+use crate::value::Refs;
 use crate::{CallId, FnId, Result, Value, WireError};
 
 /// Whether the guest blocks on a call's reply.
@@ -199,18 +200,18 @@ impl ReplyStatus {
 }
 
 impl CallRequest {
-    fn encode_body(&self, buf: &mut BytesMut) {
+    fn encode_body(&self, buf: &mut BytesMut, mut refs: Option<&mut Vec<Bytes>>) {
         put_varint(buf, self.call_id);
         put_varint(buf, u64::from(self.fn_id));
         put_varint(buf, self.mode.encode_u64());
         put_varint(buf, self.budget_us);
         put_varint(buf, self.args.len() as u64);
         for arg in &self.args {
-            arg.encode(buf);
+            arg.encode_with(buf, refs.as_deref_mut());
         }
     }
 
-    fn decode_body(buf: &mut Bytes) -> Result<Self> {
+    fn decode_body(buf: &mut Bytes, mut refs: Refs<'_>) -> Result<Self> {
         let call_id = get_varint(buf)?;
         let fn_id = u32::try_from(get_varint(buf)?)
             .map_err(|_| WireError::BadDiscriminant("fn id", u64::MAX))?;
@@ -222,7 +223,7 @@ impl CallRequest {
         }
         let mut args = Vec::with_capacity(argc);
         for _ in 0..argc {
-            args.push(Value::decode(buf)?);
+            args.push(Value::decode_with(buf, refs.as_deref_mut())?);
         }
         Ok(CallRequest {
             call_id,
@@ -250,21 +251,21 @@ impl CallRequest {
 }
 
 impl CallReply {
-    fn encode_body(&self, buf: &mut BytesMut) {
+    fn encode_body(&self, buf: &mut BytesMut, mut refs: Option<&mut Vec<Bytes>>) {
         put_varint(buf, self.call_id);
         put_varint(buf, self.status.encode_u64());
-        self.ret.encode(buf);
+        self.ret.encode_with(buf, refs.as_deref_mut());
         put_varint(buf, self.outputs.len() as u64);
         for (idx, value) in &self.outputs {
             put_varint(buf, u64::from(*idx));
-            value.encode(buf);
+            value.encode_with(buf, refs.as_deref_mut());
         }
     }
 
-    fn decode_body(buf: &mut Bytes) -> Result<Self> {
+    fn decode_body(buf: &mut Bytes, mut refs: Refs<'_>) -> Result<Self> {
         let call_id = get_varint(buf)?;
         let status = ReplyStatus::decode_u64(get_varint(buf)?)?;
-        let ret = Value::decode(buf)?;
+        let ret = Value::decode_with(buf, refs.as_deref_mut())?;
         let count = get_len(buf)?;
         if count > buf.remaining() {
             return Err(WireError::UnexpectedEof);
@@ -273,7 +274,7 @@ impl CallReply {
         for _ in 0..count {
             let idx = u32::try_from(get_varint(buf)?)
                 .map_err(|_| WireError::BadDiscriminant("output index", u64::MAX))?;
-            outputs.push((idx, Value::decode(buf)?));
+            outputs.push((idx, Value::decode_with(buf, refs.as_deref_mut())?));
         }
         Ok(CallReply {
             call_id,
@@ -396,20 +397,37 @@ impl Message {
 
     /// Serializes the message, appending to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
+        self.encode_with(buf, None);
+    }
+
+    /// Serializes the message in by-reference mode, appending the frame to
+    /// `buf`: every `Value::Bytes` (arguments, `List` and `Batch` members,
+    /// reply `ret` and outputs) is written as a descriptor — tag and
+    /// length — and its handle, a refcount clone rather than a copy, is
+    /// appended to `refs` in frame order. This is the virtio
+    /// indirect-descriptor mode for a transport whose two ends share
+    /// memory: the frame means nothing without `refs`, and
+    /// [`Message::decode`] rejects it. A payload-free message encodes
+    /// exactly as [`Message::encode_into`] writes it.
+    pub fn encode_indirect(&self, buf: &mut BytesMut, refs: &mut Vec<Bytes>) {
+        self.encode_with(buf, Some(refs));
+    }
+
+    fn encode_with(&self, buf: &mut BytesMut, mut refs: Option<&mut Vec<Bytes>>) {
         match self {
             Message::Call(req) => {
                 buf.put_u8(kind::CALL);
-                req.encode_body(buf);
+                req.encode_body(buf, refs);
             }
             Message::Reply(rep) => {
                 buf.put_u8(kind::REPLY);
-                rep.encode_body(buf);
+                rep.encode_body(buf, refs);
             }
             Message::Batch(reqs) => {
                 buf.put_u8(kind::BATCH);
                 put_varint(buf, reqs.len() as u64);
                 for req in reqs {
-                    req.encode_body(buf);
+                    req.encode_body(buf, refs.as_deref_mut());
                 }
             }
             Message::Control(ctl) => {
@@ -421,8 +439,26 @@ impl Message {
 
     /// Decodes exactly one message, consuming the entire input.
     pub fn decode(bytes: Bytes) -> Result<Message> {
+        Self::decode_exact(bytes, None)
+    }
+
+    /// Decodes a frame written by [`Message::encode_indirect`], re-attaching
+    /// `refs` in order. The frame's descriptors must consume exactly
+    /// `refs`, each with the length it records, or decoding fails with
+    /// [`WireError::DescriptorMismatch`]: a frame is never paired with a
+    /// wrong buffer.
+    pub fn decode_indirect(frame: Bytes, refs: Vec<Bytes>) -> Result<Message> {
+        let mut refs = refs.into_iter();
+        let msg = Self::decode_exact(frame, Some(&mut refs))?;
+        if refs.next().is_some() {
+            return Err(WireError::DescriptorMismatch);
+        }
+        Ok(msg)
+    }
+
+    fn decode_exact(bytes: Bytes, refs: Refs<'_>) -> Result<Message> {
         let mut buf = bytes;
-        let msg = Self::decode_from(&mut buf)?;
+        let msg = Self::decode_with(&mut buf, refs)?;
         if buf.has_remaining() {
             return Err(WireError::TrailingBytes(buf.remaining()));
         }
@@ -431,13 +467,17 @@ impl Message {
 
     /// Decodes one message from the front of `buf`, leaving any remainder.
     pub fn decode_from(buf: &mut Bytes) -> Result<Message> {
+        Self::decode_with(buf, None)
+    }
+
+    fn decode_with(buf: &mut Bytes, mut refs: Refs<'_>) -> Result<Message> {
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
         let k = buf.get_u8();
         Ok(match k {
-            kind::CALL => Message::Call(CallRequest::decode_body(buf)?),
-            kind::REPLY => Message::Reply(CallReply::decode_body(buf)?),
+            kind::CALL => Message::Call(CallRequest::decode_body(buf, refs)?),
+            kind::REPLY => Message::Reply(CallReply::decode_body(buf, refs)?),
             kind::BATCH => {
                 let count = get_len(buf)?;
                 if count > MAX_BATCH_CALLS {
@@ -448,7 +488,7 @@ impl Message {
                 }
                 let mut reqs = Vec::with_capacity(count);
                 for _ in 0..count {
-                    reqs.push(CallRequest::decode_body(buf)?);
+                    reqs.push(CallRequest::decode_body(buf, refs.as_deref_mut())?);
                 }
                 Message::Batch(reqs)
             }
@@ -758,6 +798,76 @@ mod tests {
             let truncated = encoded.slice(0..encoded.len() - 4);
             assert!(Message::decode(truncated).is_err());
         }
+    }
+
+    fn indirect(msg: &Message) -> (Bytes, Vec<Bytes>) {
+        let mut buf = BytesMut::new();
+        let mut refs = Vec::new();
+        msg.encode_indirect(&mut buf, &mut refs);
+        (buf.freeze(), refs)
+    }
+
+    #[test]
+    fn indirect_frames_carry_descriptors_and_reattach_the_same_buffers() {
+        let big = Bytes::from(vec![7u8; 4096]);
+        let mut call = sample_call(1);
+        call.args.push(Value::List(vec![
+            Value::Bytes(big.clone()),
+            Value::Bytes(Bytes::new()),
+        ]));
+        let msg = Message::Batch(vec![call, sample_call(2)]);
+        let (frame, refs) = indirect(&msg);
+        // sample_call's 3-byte buffer, then the list's two, then call 2's.
+        assert_eq!(
+            refs.iter().map(|b| b.len()).collect::<Vec<_>>(),
+            [3, 4096, 0, 3]
+        );
+        assert!(frame.len() < 64, "payload bytes leaked into the frame");
+        let decoded = Message::decode_indirect(frame, refs).unwrap();
+        assert_eq!(decoded, msg);
+        let Message::Batch(calls) = decoded else {
+            unreachable!()
+        };
+        let list = calls[0].args[4].as_list().unwrap();
+        assert_eq!(list[0].as_bytes().unwrap().as_ptr(), big.as_ptr());
+    }
+
+    #[test]
+    fn payload_free_messages_encode_identically_in_both_modes() {
+        let mut req = sample_call(3);
+        req.args.retain(|v| v.as_bytes().is_none());
+        req.args.push(Value::Str("kernel".into()));
+        for msg in [
+            Message::Call(req),
+            Message::Control(ControlMessage::Ping(5)),
+        ] {
+            let (frame, refs) = indirect(&msg);
+            assert!(refs.is_empty());
+            assert_eq!(frame, msg.encode());
+        }
+    }
+
+    #[test]
+    fn plain_decode_rejects_by_reference_frames() {
+        let (frame, _) = indirect(&Message::Call(sample_call(1)));
+        assert_eq!(Message::decode(frame), Err(WireError::BadTag(0x0f)));
+    }
+
+    #[test]
+    fn indirect_decode_rejects_descriptor_mismatch() {
+        let msg = Message::Call(sample_call(1));
+        let (frame, refs) = indirect(&msg);
+        let too_few = Vec::new();
+        let mut too_many = refs.clone();
+        too_many.push(Bytes::from_static(b"extra"));
+        let wrong_len = vec![Bytes::from_static(b"1234")];
+        for bad in [too_few, too_many, wrong_len] {
+            assert_eq!(
+                Message::decode_indirect(frame.clone(), bad),
+                Err(WireError::DescriptorMismatch)
+            );
+        }
+        assert_eq!(Message::decode_indirect(frame, refs).unwrap(), msg);
     }
 
     #[test]

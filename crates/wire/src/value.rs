@@ -72,11 +72,24 @@ mod tag {
     pub const STR: u8 = 0x0c;
     pub const LIST: u8 = 0x0d;
     pub const CACHED_BYTES: u8 = 0x0e;
+    /// A `Bytes` payload passed by reference: only its length is in the
+    /// frame; the buffer itself rides in the transport's descriptor table.
+    pub const BYTES_REF: u8 = 0x0f;
 }
+
+/// Buffers a by-reference frame's descriptors consume, in frame order.
+/// `None` is the plain codec, which rejects the by-reference tag.
+pub(crate) type Refs<'a> = Option<&'a mut std::vec::IntoIter<Bytes>>;
 
 impl Value {
     /// Encodes `self`, appending to `buf`.
     pub fn encode(&self, buf: &mut BytesMut) {
+        self.encode_with(buf, None);
+    }
+
+    /// Encodes `self`; with `refs`, every `Bytes` is written as a
+    /// by-reference descriptor and its handle appended to `refs` instead.
+    pub(crate) fn encode_with(&self, buf: &mut BytesMut, mut refs: Option<&mut Vec<Bytes>>) {
         match self {
             Value::Unit => buf.put_u8(tag::UNIT),
             Value::Null => buf.put_u8(tag::NULL),
@@ -110,11 +123,18 @@ impl Value {
                 buf.put_u8(tag::HANDLE);
                 put_varint(buf, *h);
             }
-            Value::Bytes(b) => {
-                buf.put_u8(tag::BYTES);
-                put_varint(buf, b.len() as u64);
-                buf.put_slice(b);
-            }
+            Value::Bytes(b) => match refs {
+                Some(refs) => {
+                    buf.put_u8(tag::BYTES_REF);
+                    put_varint(buf, b.len() as u64);
+                    refs.push(b.clone());
+                }
+                None => {
+                    buf.put_u8(tag::BYTES);
+                    put_varint(buf, b.len() as u64);
+                    buf.put_slice(b);
+                }
+            },
             Value::Str(s) => {
                 buf.put_u8(tag::STR);
                 put_varint(buf, s.len() as u64);
@@ -124,7 +144,7 @@ impl Value {
                 buf.put_u8(tag::LIST);
                 put_varint(buf, items.len() as u64);
                 for item in items {
-                    item.encode(buf);
+                    item.encode_with(buf, refs.as_deref_mut());
                 }
             }
             Value::CachedBytes { digest, len } => {
@@ -137,6 +157,12 @@ impl Value {
 
     /// Decodes a value from the front of `buf`.
     pub fn decode(buf: &mut Bytes) -> Result<Value> {
+        Self::decode_with(buf, None)
+    }
+
+    /// Decodes a value; with `refs`, by-reference descriptors re-attach the
+    /// next buffer, which must have exactly the descriptor's length.
+    pub(crate) fn decode_with(buf: &mut Bytes, mut refs: Refs<'_>) -> Result<Value> {
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
@@ -160,6 +186,16 @@ impl Value {
                 }
                 Value::Bytes(buf.split_to(len))
             }
+            tag::BYTES_REF => {
+                let Some(refs) = refs else {
+                    return Err(WireError::BadTag(t));
+                };
+                let len = get_len(buf)?;
+                match refs.next() {
+                    Some(b) if b.len() == len => Value::Bytes(b),
+                    _ => return Err(WireError::DescriptorMismatch),
+                }
+            }
             tag::STR => {
                 let len = get_len(buf)?;
                 if buf.remaining() < len {
@@ -177,7 +213,7 @@ impl Value {
                 }
                 let mut items = Vec::with_capacity(len);
                 for _ in 0..len {
-                    items.push(Value::decode(buf)?);
+                    items.push(Value::decode_with(buf, refs.as_deref_mut())?);
                 }
                 Value::List(items)
             }

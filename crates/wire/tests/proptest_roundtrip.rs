@@ -1,6 +1,9 @@
-//! Property tests: every well-formed message survives an encode/decode cycle,
-//! and the decoder never panics on arbitrary input.
+//! Property tests: every well-formed message survives an encode/decode cycle
+//! and a by-reference crossing of a shared-memory ring, and the decoder
+//! never panics on arbitrary input.
 
+use ava_transport::shmem::{self, RingConfig};
+use ava_transport::{CostModel, Transport};
 use ava_wire::{
     CallMode, CallReply, CallRequest, ControlMessage, Message, ReplyStatus, Value, WireError,
     MAX_BATCH_CALLS,
@@ -144,7 +147,62 @@ fn arb_cachey_call() -> impl Strategy<Value = CallRequest> {
         })
 }
 
+/// The shapes by-reference encoding must get right, sent in every case
+/// ahead of the generated messages: an empty buffer, buffers nested in
+/// lists, a reply's `ret` and outputs, and buffers across batch members.
+fn payload_shapes() -> Vec<Message> {
+    let buf = |n: usize| Value::Bytes(Bytes::from(vec![n as u8; n]));
+    let call = |id: u64, args: Vec<Value>| CallRequest {
+        call_id: id,
+        fn_id: 1,
+        mode: CallMode::Async,
+        args,
+        budget_us: 0,
+    };
+    vec![
+        Message::Call(call(
+            1,
+            vec![
+                Value::Bytes(Bytes::new()),
+                Value::List(vec![buf(3), Value::List(vec![buf(0), buf(70)])]),
+            ],
+        )),
+        Message::Reply(CallReply {
+            call_id: 1,
+            status: ReplyStatus::Ok,
+            ret: buf(5),
+            outputs: vec![(2, buf(0)), (3, buf(300))],
+        }),
+        Message::Batch(vec![
+            call(2, vec![buf(9)]),
+            call(3, vec![]),
+            call(4, vec![buf(1)]),
+        ]),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn messages_round_trip_over_a_shared_memory_ring(
+        generated in proptest::collection::vec(arb_message(), 0..12),
+    ) {
+        // A 4 KiB ring: large frames fragment, buffers pass by reference.
+        let (a, b) = shmem::pair(RingConfig { capacity: 4096, model: CostModel::free() });
+        let mut msgs = payload_shapes();
+        msgs.extend(generated);
+        let to_send = msgs.clone();
+        let sender = std::thread::spawn(move || {
+            for msg in &to_send {
+                a.send(msg).unwrap();
+            }
+            a
+        });
+        for want in &msgs {
+            prop_assert_eq!(&b.recv().unwrap(), want);
+        }
+        sender.join().unwrap();
+    }
+
     #[test]
     fn message_round_trips(msg in arb_message()) {
         let encoded = msg.encode();
