@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate telemetry_report --smoke artifacts in CI.
+"""Validate the artifacts telemetry_report's pool scenario writes in CI.
 
 Usage: check_telemetry.py TRACE_JSON METRICS_PROM
        check_telemetry.py --prom METRICS_PROM [EXTRA_REQUIRED_FAMILY...]
@@ -10,7 +10,7 @@ additional families that must be present and populated.
 
 Asserts the Chrome-trace export is machine-parseable, time-ordered, and
 carries the per-tier tracks plus the retry / recovery / rebalance / SLO
-instant events the smoke scenario deterministically produces, and that
+instant events the pool scenario deterministically produces, and that
 the Prometheus exposition parses with every declared family populated.
 Exits non-zero with a one-line reason on the first violation.
 """
@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-# Instants the smoke scenario is scripted to produce: VM A's reply-drop
+# Instants the pool scenario is scripted to produce: VM A's reply-drop
 # fault plan forces retries, VM B's crash forces respawn + journal
 # replay, and an unmeetable 1ns p99 target forces SLO violations around
 # the explicit rebalance.

@@ -30,8 +30,6 @@ import sys
 # shared CI runners swing far more than fairness indices do, so they get a
 # wider, explicitly-chosen band).
 DIRECTIONAL_GATES = {
-    # Cache-on wall / cache-off wall: getting *faster* is never a failure.
-    "cache_latency_ratio": ("lower_better", None),
     # Batched-vs-unbatched throughput: gate only a collapse (>50% drop).
     "speedup": ("higher_better", 0.5),
     # Overcommitted p99 / resident-only p99: wall-clock-derived, so only a
@@ -52,23 +50,14 @@ def extract_metrics(report):
     bench = report.get("bench")
     out = {}
     if bench == "data_path":
-        walls = {
-            (c["transport"], bool(c.get("cache"))): c["wall_ms"]
-            for c in report.get("configs", [])
-            if "wall_ms" in c
-        }
+        # Byte counts and hit rates are deterministic; elision's effect on
+        # wall time is avabench's tenant_mix, not a gate here.
         for cfg in report.get("configs", []):
             if not cfg.get("cache"):
                 continue
             key = cfg["transport"]
             out[f"{key}.payload_reduction"] = cfg["payload_reduction_vs_off"]
             out[f"{key}.hit_rate"] = cfg["hit_rate"]
-            # Cache-on vs cache-off wall time on the same run/host: a
-            # hardware-normalized ratio, gated one-sided (see
-            # DIRECTIONAL_GATES) because elision must never cost latency.
-            off_wall = walls.get((key, False), 0.0)
-            if off_wall > 0.0 and "wall_ms" in cfg:
-                out[f"{key}.cache_latency_ratio"] = cfg["wall_ms"] / off_wall
         # Recorder-on vs recorder-off p50 overhead ratio (~1.0x). A ratio
         # is already hardware-normalized, so it gates like the other
         # speed-insensitive metrics. Guarded: baselines predating the
@@ -234,22 +223,6 @@ def self_test():
     dp_rec_worse["recorder"]["overhead_ratio"] = 1.35
     _, regressed = compare(dp_rec, dp_rec_worse, 0.2)
     assert regressed, "a recorder overhead blow-up must fail the gate"
-
-    # cache_latency_ratio is one-sided: a big *improvement* (cache-on got
-    # much faster relative to off) must pass, a rise past tolerance fails.
-    dp_lat = json.loads(json.dumps(dp_base))
-    dp_lat["configs"][0]["wall_ms"] = 4.0
-    dp_lat["configs"][1]["wall_ms"] = 3.6  # ratio 0.90
-    dp_lat_fast = json.loads(json.dumps(dp_lat))
-    dp_lat_fast["configs"][1]["wall_ms"] = 2.0  # ratio 0.50: -44%
-    _, regressed = compare(dp_lat, dp_lat_fast, 0.2)
-    assert not regressed, "a faster cache-on arm must never fail the gate"
-    dp_lat_slow = json.loads(json.dumps(dp_lat))
-    dp_lat_slow["configs"][1]["wall_ms"] = 4.8  # ratio 1.20: +33%
-    rows, regressed = compare(dp_lat, dp_lat_slow, 0.2)
-    assert regressed, "cache-on turning into a latency loss must fail"
-    bad = [r for r in rows if not r[4]]
-    assert bad and bad[0][0] == "shmem.cache_latency_ratio", rows
 
     tp_base = {
         "bench": "throughput",

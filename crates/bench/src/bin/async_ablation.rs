@@ -1,13 +1,13 @@
 //! §5's asynchronous-forwarding ablation: the specification's `async`
 //! annotations let AvA overlap API forwarding with application execution.
-//! The paper reports an 8.6 % speedup over an unoptimized specification
-//! and a 5 % remaining overhead vs native (in the experiments where the
-//! optimization applies).
+//! The paper reports an 8.6 % speedup over an unoptimized specification.
+//! The overhead of the optimized configuration against native is Figure 5,
+//! which avabench (`bench/avabench`) measures.
 
-use ava_bench::{ava_env, ava_env_batched, default_model, geomean, row};
+use ava_bench::{ava_env, geomean, row};
 use ava_spec::LowerOptions;
-use ava_transport::TransportKind;
-use ava_workloads::{opencl_workloads, silo_with_all_kernels, Scale};
+use ava_transport::{CostModel, TransportKind};
+use ava_workloads::{opencl_workloads, Scale};
 
 fn main() {
     let reps: usize = std::env::args()
@@ -18,23 +18,20 @@ fn main() {
 
     println!("# Async-forwarding ablation (\"optimized vs unoptimized specification\", §5)");
     println!();
-    let widths = [12, 12, 14, 12, 12, 10];
+    let widths = [12, 14, 12, 12];
     println!(
         "{}",
         row(
             &[
                 "workload".into(),
-                "native_ms".into(),
                 "ava_sync_ms".into(),
                 "ava_async_ms".into(),
                 "speedup".into(),
-                "overhead".into()
             ],
             &widths
         )
     );
 
-    let native_cl = silo_with_all_kernels(scale);
     // Unoptimized spec: every call lowered synchronous.
     let env_sync = ava_env(
         scale,
@@ -42,33 +39,28 @@ fn main() {
             enable_async: false,
             ..LowerOptions::default()
         },
-        default_model(),
+        CostModel::paravirtual(),
         TransportKind::SharedMemory,
+        0,
     );
     // Optimized spec: async annotations honoured, plus rCUDA-style
     // batching of the async stream.
-    let env_async = ava_env_batched(
+    let env_async = ava_env(
         scale,
         LowerOptions::default(),
-        default_model(),
+        CostModel::paravirtual(),
         TransportKind::SharedMemory,
         16,
     );
 
     let mut speedups = Vec::new();
-    let mut overheads = Vec::new();
     for wl in opencl_workloads(scale) {
-        // Interleave the three variants and keep per-variant minima so
+        // Interleave the two variants and keep per-variant minima so
         // machine drift cancels.
-        wl.run(&native_cl).expect("native warmup");
         wl.run(&env_sync.client).expect("sync warmup");
         wl.run(&env_async.client).expect("async warmup");
-        let (mut native_ms, mut sync_ms, mut async_ms) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut sync_ms, mut async_ms) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps.max(1) {
-            let t = std::time::Instant::now();
-            wl.run(&native_cl).expect("native");
-            native_ms = native_ms.min(t.elapsed().as_secs_f64() * 1e3);
             let t = std::time::Instant::now();
             wl.run(&env_sync.client).expect("sync spec");
             sync_ms = sync_ms.min(t.elapsed().as_secs_f64() * 1e3);
@@ -77,19 +69,15 @@ fn main() {
             async_ms = async_ms.min(t.elapsed().as_secs_f64() * 1e3);
         }
         let speedup = sync_ms / async_ms;
-        let overhead = async_ms / native_ms;
         speedups.push(speedup);
-        overheads.push(overhead);
         println!(
             "{}",
             row(
                 &[
                     wl.name().into(),
-                    format!("{native_ms:.2}"),
                     format!("{sync_ms:.2}"),
                     format!("{async_ms:.2}"),
                     format!("{speedup:.3}"),
-                    format!("{overhead:.3}"),
                 ],
                 &widths
             )
@@ -102,10 +90,5 @@ fn main() {
         geomean(&speedups),
         (geomean(&speedups) - 1.0) * 100.0
     );
-    println!(
-        "# geomean overhead of optimized spec vs native: {:.3} ({:+.1} %)",
-        geomean(&overheads),
-        (geomean(&overheads) - 1.0) * 100.0
-    );
-    println!("# paper: 8.6 % speedup from the async optimization; 5 % overhead vs native");
+    println!("# paper: 8.6 % speedup from the async optimization");
 }

@@ -1,13 +1,15 @@
 //! Extension experiment Ext-D: the data-path fast lane. Iterative
 //! workloads (kmeans, backprop) re-upload largely identical buffers every
 //! iteration; the content-addressed transfer cache elides those bytes at
-//! the cost of a 12-byte digest reference. This harness measures payload
-//! bytes on the wire, hit rate, and end-to-end wall time with the cache
-//! on vs off, across the three transports.
+//! the cost of a 12-byte digest reference. This harness counts payload
+//! bytes on the wire and the hit rate with the cache on vs off, across the
+//! three transports; both are deterministic. Elision's end-to-end effect is
+//! measured by avabench's `tenant_mix`, which runs with the cache on. The
+//! harness also runs the flight-recorder on/off ablation.
 //!
-//! Usage: `data_path [--smoke] [reps]`. `--smoke` shrinks the workload
-//! for CI; either way a machine-readable `BENCH_data_path.json` is
-//! written to the current directory.
+//! Usage: `data_path [--smoke]`. `--smoke` shrinks the workload for CI;
+//! either way a machine-readable `BENCH_data_path.json` is written to the
+//! current directory.
 
 use std::time::Instant;
 
@@ -23,7 +25,6 @@ use simcl::ClApi;
 struct Sample {
     transport: &'static str,
     cache: bool,
-    wall_ms: f64,
     stats: VmStats,
     hit_rate: f64,
 }
@@ -217,13 +218,7 @@ fn recorder_ablation_best(smoke: bool, budget: f64, attempts: usize) -> (f64, f6
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let reps: usize = args.iter().find_map(|a| a.parse().ok()).unwrap_or(3);
-    // Smoke payloads are sized so the byte-proportional terms (copies,
-    // ring traffic, modelled bandwidth) dominate the fixed per-call
-    // round-trip cost; at 16 KiB the cache's wall-time effect drowned in
-    // scheduler noise on shared CI runners.
+    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let (payload_len, iters) = if smoke {
         (64 << 10, 12)
     } else {
@@ -233,14 +228,13 @@ fn main() {
     println!("# Data-path fast lane (Ext-D): content-addressed transfer elision");
     println!("# payload {payload_len} B, {iters} epochs, weights mutate every 4th epoch");
     println!();
-    let widths = [10usize, 7, 10, 12, 12, 10, 8, 10];
+    let widths = [10usize, 7, 12, 12, 10, 8, 10];
     println!(
         "{}",
         row(
             &[
                 "transport".into(),
                 "cache".into(),
-                "wall_ms".into(),
                 "bytes_in".into(),
                 "elided".into(),
                 "hits".into(),
@@ -264,44 +258,16 @@ fn main() {
     let mut samples: Vec<Sample> = Vec::new();
     let mut checksums: Vec<u64> = Vec::new();
     for (name, kind, model) in transports.iter() {
-        // Paired rounds: each rep measures cache-off and cache-on
-        // back-to-back with the order alternating, so a noisy-neighbor
-        // burst inflates both arms of the pair it lands on instead of
-        // biasing whichever arm happened to run under it. Best-of-reps
-        // per arm; if cache-on still trails after the scheduled reps, a
-        // couple of extra paired rounds let a clean window decide —
-        // elision structurally does *less* work, so with the noise
-        // cancelled the minimum should favor it.
-        let mut best_ms = [f64::INFINITY; 2]; // [off, on]
-        let mut stats = [VmStats::default(), VmStats::default()];
-        let mut sums = [0u64; 2];
-        let mut round = 0usize;
-        let scheduled = reps.max(1);
-        while round < scheduled || (best_ms[1] > best_ms[0] && round < scheduled + 2) {
-            let order: [usize; 2] = if round.is_multiple_of(2) {
-                [0, 1]
-            } else {
-                [1, 0]
-            };
-            for arm in order {
-                let entries = if arm == 1 { 64 } else { 0 };
-                let env = build_env(*kind, *model, entries);
-                let mut payload: Vec<u8> =
-                    (0..payload_len).map(|i| (i * 131 % 251) as u8).collect();
-                let start = Instant::now();
-                sums[arm] = iterative_transfer(&env, iters, &mut payload);
-                best_ms[arm] = best_ms[arm].min(start.elapsed().as_secs_f64() * 1e3);
-                stats[arm] = env.stack.vm_router_stats(env.vm).expect("router stats");
-            }
-            round += 1;
-        }
-        for (arm, cache) in [(0usize, false), (1usize, true)] {
-            checksums.push(sums[arm]);
-            let refs = stats[arm].cache_hits + stats[arm].cache_misses;
+        for cache in [false, true] {
+            let env = build_env(*kind, *model, if cache { 64 } else { 0 });
+            let mut payload: Vec<u8> = (0..payload_len).map(|i| (i * 131 % 251) as u8).collect();
+            checksums.push(iterative_transfer(&env, iters, &mut payload));
+            let stats = env.stack.vm_router_stats(env.vm).expect("router stats");
+            let refs = stats.cache_hits + stats.cache_misses;
             let hit_rate = if refs == 0 {
                 0.0
             } else {
-                stats[arm].cache_hits as f64 / refs as f64
+                stats.cache_hits as f64 / refs as f64
             };
             println!(
                 "{}",
@@ -309,11 +275,10 @@ fn main() {
                     &[
                         (*name).into(),
                         if cache { "on" } else { "off" }.into(),
-                        format!("{:.2}", best_ms[arm]),
-                        stats[arm].bytes_in.to_string(),
-                        stats[arm].bytes_elided.to_string(),
-                        stats[arm].cache_hits.to_string(),
-                        stats[arm].cache_misses.to_string(),
+                        stats.bytes_in.to_string(),
+                        stats.bytes_elided.to_string(),
+                        stats.cache_hits.to_string(),
+                        stats.cache_misses.to_string(),
                         format!("{hit_rate:.2}"),
                     ],
                     &widths
@@ -322,8 +287,7 @@ fn main() {
             samples.push(Sample {
                 transport: name,
                 cache,
-                wall_ms: best_ms[arm],
-                stats: stats[arm],
+                stats,
                 hit_rate,
             });
         }
@@ -356,6 +320,12 @@ fn main() {
     );
 
     // Machine-readable artifact for CI.
+    let off_bytes = |transport: &str| {
+        samples
+            .iter()
+            .find(|o| o.transport == transport && !o.cache)
+            .map_or(0, |o| o.stats.bytes_in)
+    };
     let mut json = String::from("{\n  \"bench\": \"data_path\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"payload_bytes\": {payload_len},\n"));
@@ -366,24 +336,19 @@ fn main() {
     ));
     json.push_str("  \"configs\": [\n");
     for (i, s) in samples.iter().enumerate() {
-        let off_bytes = samples
-            .iter()
-            .find(|o| o.transport == s.transport && !o.cache)
-            .map(|o| o.stats.bytes_in)
-            .unwrap_or(0);
-        let reduction = if s.cache && off_bytes > 0 {
-            1.0 - s.stats.bytes_in as f64 / off_bytes as f64
+        let off = off_bytes(s.transport);
+        let reduction = if s.cache && off > 0 {
+            1.0 - s.stats.bytes_in as f64 / off as f64
         } else {
             0.0
         };
         json.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"cache\": {}, \"wall_ms\": {:.3}, \
+            "    {{\"transport\": \"{}\", \"cache\": {}, \
              \"bytes_in\": {}, \"bytes_out\": {}, \"bytes_elided\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \"hit_rate\": {:.4}, \
              \"payload_reduction_vs_off\": {:.4}}}{}\n",
             s.transport,
             s.cache,
-            s.wall_ms,
             s.stats.bytes_in,
             s.stats.bytes_out,
             s.stats.bytes_elided,
@@ -393,30 +358,17 @@ fn main() {
             reduction,
             if i + 1 == samples.len() { "" } else { "," }
         ));
+        if s.cache {
+            println!(
+                "# {}: payload bytes {} -> {} ({:.1}% elided)",
+                s.transport,
+                off,
+                s.stats.bytes_in,
+                reduction * 100.0
+            );
+        }
     }
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_data_path.json", &json).expect("write BENCH_data_path.json");
-    println!();
-
-    // Headline number: payload-byte reduction on the shared-memory path.
-    for (name, _, _) in transports.iter() {
-        let off = samples
-            .iter()
-            .find(|s| s.transport == *name && !s.cache)
-            .unwrap();
-        let on = samples
-            .iter()
-            .find(|s| s.transport == *name && s.cache)
-            .unwrap();
-        let reduction = 1.0 - on.stats.bytes_in as f64 / off.stats.bytes_in as f64;
-        println!(
-            "# {name}: payload bytes {} -> {} ({:.1}% elided), wall {:.2} -> {:.2} ms",
-            off.stats.bytes_in,
-            on.stats.bytes_in,
-            reduction * 100.0,
-            off.wall_ms,
-            on.wall_ms
-        );
-    }
     println!("# wrote BENCH_data_path.json");
 }

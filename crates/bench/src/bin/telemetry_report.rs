@@ -1,180 +1,31 @@
-//! End-to-end telemetry demonstration: runs a Rodinia-style OpenCL
-//! workload through the full AvA stack with a registry attached, then
-//! prints the per-function latency table, the cross-tier span breakdown
-//! (guest-marshal / transport / router-queue / server-execute), and the
-//! recovery / pool / SLO counters, for both the in-process and the TCP
-//! transport.
+//! Telemetry export demonstration: a scripted two-VM pool scenario that
+//! deliberately exercises every flight-recorder event class — dropped
+//! replies (guest retries), an API-server crash (respawn + journal
+//! replay), an explicit live migration (rebalance), and an unmeetable SLO
+//! (violation events + burn gauges) — then prints the registry as text.
+//! CI runs it to check that the exporters produce non-trivial artifacts;
+//! the per-layer span budget comes from avabench (`bench/avabench`).
 //!
-//! The segment sums telescope: for each completed sync span they add up
-//! exactly to its guest-observed end-to-end latency, so the "sum /
-//! total" column printed at the bottom is a built-in self-check (it must
-//! be 1.000 up to floating-point rounding).
+//! Usage: `telemetry_report [--trace FILE] [--prom FILE]`
 //!
-//! Usage: `telemetry_report [--json] [--smoke] [--trace FILE] [--prom FILE]`
-//!
-//! * `--smoke` replaces the two-transport sweep with a single pooled run
-//!   that deliberately exercises every flight-recorder event class:
-//!   dropped replies (guest retries), an API-server crash (respawn +
-//!   journal replay), an explicit live migration (rebalance), and an
-//!   unmeetable SLO (violation events + burn gauges). CI uses it to
-//!   assert the exporters produce non-trivial artifacts.
-//! * `--trace FILE` writes Chrome-trace/Perfetto JSON of the final run.
-//! * `--prom FILE` writes Prometheus text exposition of the final run.
+//! * `--trace FILE` writes Chrome-trace/Perfetto JSON of the run.
+//! * `--prom FILE` writes Prometheus text exposition of the run.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use ava_bench::row;
-use ava_core::{
-    opencl_pool_stack, opencl_stack_with, GuestConfig, OpenClClient, PlacementPolicy, StackConfig,
-};
+use ava_core::{opencl_pool_stack, GuestConfig, OpenClClient, PlacementPolicy, StackConfig};
 use ava_hypervisor::VmPolicy;
-use ava_spec::LowerOptions;
 use ava_telemetry::{export, Registry, SloConfig, Snapshot};
 use ava_transport::{CostModel, FaultAction, FaultPlan, TransportKind};
 use ava_wire::Message;
 use ava_workloads::{opencl_workloads, silo_with_all_kernels, Scale};
-
-fn print_report(label: &str, snapshot: &Snapshot) {
-    println!("== {label} ==");
-    println!();
-
-    // Per-function latency table from the guest-side histograms.
-    let widths = [34, 8, 10, 10, 10, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "function".into(),
-                "count".into(),
-                "p50_us".into(),
-                "p95_us".into(),
-                "p99_us".into(),
-                "max_us".into(),
-            ],
-            &widths
-        )
-    );
-    for (name, hist) in &snapshot.histograms {
-        let Some(fn_name) = name.strip_prefix("guest.call.") else {
-            continue;
-        };
-        let us = |n: u64| n as f64 / 1e3;
-        println!(
-            "{}",
-            row(
-                &[
-                    fn_name.into(),
-                    format!("{}", hist.count),
-                    format!("{:.1}", us(hist.percentile(0.50))),
-                    format!("{:.1}", us(hist.percentile(0.95))),
-                    format!("{:.1}", us(hist.percentile(0.99))),
-                    format!("{:.1}", us(hist.max)),
-                ],
-                &widths
-            )
-        );
-    }
-    println!();
-
-    // Cross-tier breakdown over all completed sync spans.
-    println!("cross-tier breakdown (mean over completed sync spans):");
-    let breakdown = snapshot.segment_breakdown();
-    let mut segment_sum = 0.0;
-    for (segment, mean_ns) in &breakdown {
-        segment_sum += mean_ns;
-        println!("  {segment:<16} {:>10.1} us", mean_ns / 1e3);
-    }
-    let total = snapshot.span_total_mean().unwrap_or(0.0);
-    println!("  {:<16} {:>10.1} us", "e2e total", total / 1e3);
-    if total > 0.0 {
-        println!("  sum / total      {:>10.3}", segment_sum / total);
-    }
-    println!();
-
-    // Recovery, pool and SLO state. Respawn/replay counters exist on every
-    // telemetry-attached stack (zero on a fault-free run); slot gauges and
-    // burn gauges appear only on pooled / SLO-configured stacks.
-    let mut lines = Vec::new();
-    for (name, v) in &snapshot.counters {
-        if name.starts_with("recovery.") {
-            lines.push(format!("  {name:<28} {v}"));
-        }
-    }
-    for (name, v) in &snapshot.gauges {
-        if name.starts_with("pool.slot") || name.starts_with("slo.") {
-            lines.push(format!("  {name:<28} {v:.1}"));
-        }
-    }
-    if !lines.is_empty() {
-        println!("recovery / pool / slo:");
-        for line in lines {
-            println!("{line}");
-        }
-        println!();
-    }
-
-    // Flight-recorder summary: what happened, by event class.
-    println!(
-        "flight recorder: {} events retained, {} overwritten, {} spans dropped",
-        snapshot.events.len(),
-        snapshot.events_overwritten,
-        snapshot.spans_dropped
-    );
-    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for event in &snapshot.events {
-        *kinds.entry(event.kind.name()).or_default() += 1;
-    }
-    for (kind, n) in kinds {
-        println!("  {kind:<20} {n}");
-    }
-    println!();
-}
-
-fn run_with_transport(kind: TransportKind, json: bool) -> Registry {
-    let label = match kind {
-        TransportKind::InProcess => "transport: inproc",
-        TransportKind::SharedMemory => "transport: shmem",
-        TransportKind::Tcp => "transport: tcp",
-    };
-    let scale = Scale::Test;
-    let config = StackConfig {
-        transport: kind,
-        cost_model: CostModel::free(),
-        ..StackConfig::default()
-    };
-    let stack = opencl_stack_with(
-        silo_with_all_kernels(scale),
-        config,
-        LowerOptions::default(),
-    )
-    .expect("stack builds");
-    let registry = Registry::new();
-    stack
-        .set_telemetry(registry.clone())
-        .expect("telemetry attaches");
-    let (_vm, lib) = stack.attach_vm(VmPolicy::default()).expect("vm attaches");
-    let client = OpenClClient::new(lib);
-
-    for wl in opencl_workloads(scale) {
-        wl.run(&client).expect("workload runs");
-    }
-
-    let snapshot = registry.snapshot();
-    if json {
-        println!("{}", snapshot.render_json());
-    } else {
-        print_report(label, &snapshot);
-    }
-    registry
-}
 
 /// A pooled run that deterministically drives every recorder event class:
 /// two VMs packed onto slot 0, dropped replies on VM A (retries), a crash
 /// of VM B's API server (respawn + journal replay + cache-epoch bump), an
 /// explicit migration of VM B (rebalance + placement), and a 1 ns p99
 /// target no workload can meet (SLO violations + burn gauges).
-fn run_smoke(json: bool) -> Registry {
+fn run_pool_scenario() -> Snapshot {
     let scale = Scale::Test;
     let config = StackConfig {
         transport: TransportKind::InProcess,
@@ -258,76 +109,31 @@ fn run_smoke(json: bool) -> Registry {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let snapshot = registry.snapshot();
-    if json {
-        println!("{}", snapshot.render_json());
-    } else {
-        print_report("smoke: pooled, faults + crash + migration", &snapshot);
-    }
-    registry
+    registry.snapshot()
 }
 
-struct Args {
-    json: bool,
-    smoke: bool,
-    trace: Option<String>,
-    prom: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        json: false,
-        smoke: false,
-        trace: None,
-        prom: None,
-    };
+fn main() {
+    let (mut trace, mut prom) = (None, None);
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => args.json = true,
-            "--smoke" => args.smoke = true,
-            "--trace" => args.trace = Some(it.next().expect("--trace requires a file path")),
-            "--prom" => args.prom = Some(it.next().expect("--prom requires a file path")),
+            "--trace" => trace = Some(it.next().expect("--trace requires a file path")),
+            "--prom" => prom = Some(it.next().expect("--prom requires a file path")),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: telemetry_report [--json] [--smoke] [--trace FILE] [--prom FILE]"
-                );
+                eprintln!("usage: telemetry_report [--trace FILE] [--prom FILE]");
                 std::process::exit(2);
             }
         }
     }
-    args
-}
 
-fn main() {
-    let args = parse_args();
-    let registry = if args.smoke {
-        run_smoke(args.json)
-    } else {
-        if !args.json {
-            println!("# End-to-end telemetry report");
-            println!(
-                "# Rodinia-style OpenCL suite, per-call spans across guest -> router -> server"
-            );
-            println!();
-        }
-        let mut last = None;
-        for kind in [TransportKind::InProcess, TransportKind::Tcp] {
-            last = Some(run_with_transport(kind, args.json));
-        }
-        last.expect("at least one transport ran")
-    };
-
-    // Artifact exports come from the final run's registry (the smoke run,
-    // or the TCP sweep). Status goes to stderr so `--json` stdout stays a
-    // single parseable document.
-    let snapshot = registry.snapshot();
-    if let Some(path) = &args.trace {
+    let snapshot = run_pool_scenario();
+    print!("{}", snapshot.render_text());
+    if let Some(path) = &trace {
         std::fs::write(path, export::trace_json(&snapshot)).expect("trace file writes");
         eprintln!("wrote Chrome trace to {path}");
     }
-    if let Some(path) = &args.prom {
+    if let Some(path) = &prom {
         std::fs::write(path, export::prometheus(&snapshot)).expect("prometheus file writes");
         eprintln!("wrote Prometheus exposition to {path}");
     }

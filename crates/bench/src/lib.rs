@@ -1,63 +1,28 @@
-//! `ava-bench` — evaluation harnesses for the AvA reproduction.
+//! `ava-bench` — harnesses for what the benchmark (`bench/avabench`)
+//! does not measure. Figure 5, the per-layer latencies, migration and the
+//! transport round trips come from avabench only.
 //!
 //! One binary per experiment (see DESIGN.md's experiment index):
 //!
-//! * `fig5` — Figure 5: end-to-end relative execution time of the Rodinia
-//!   suite + Inception, AvA vs native;
 //! * `async_ablation` — §5's async-forwarding optimization: optimized vs
-//!   unoptimized spec vs native;
+//!   unoptimized spec;
 //! * `effort_report` — §5's developer-effort claims: functions covered,
 //!   spec size vs generated-stack size;
-//! * `transport_compare` — extension: in-process vs shared-memory vs TCP;
 //! * `data_path` — extension: content-addressed buffer-transfer elision
-//!   (cache on/off payload bytes, hit rate, wall time per transport);
+//!   (cache on/off payload bytes and hit rate per transport) and the
+//!   flight-recorder overhead;
 //! * `scheduling` — extension: cross-VM fairness and rate limiting (§4.3);
-//! * `migration` — extension: VM migration cost breakdown (§4.3);
-//! * `swapping` — extension: buffer-granularity memory swapping (§4.3).
-//!
-//! Criterion microbenches live in `benches/micro.rs`.
-
-use std::time::Instant;
+//! * `swapping` — extension: buffer-granularity memory swapping (§4.3);
+//! * `overload` — extension: admission control under offered overload;
+//! * `throughput` — extension: adaptive batching across a VM fleet;
+//! * `telemetry_report` — a scripted pool scenario that exports a trace
+//!   and a Prometheus scrape.
 
 use ava_core::{opencl_stack_with, ApiStack, OpenClClient, StackConfig};
 use ava_hypervisor::VmPolicy;
 use ava_spec::LowerOptions;
 use ava_transport::{CostModel, TransportKind};
 use ava_workloads::{silo_with_all_kernels, Scale};
-
-/// Runs `f` `reps` times (after one warmup) and returns the median wall
-/// time in milliseconds.
-pub fn time_median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warmup
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
-}
-
-/// Times two alternately-executed variants (A/B interleaved to cancel
-/// machine drift) and returns their minimum times in milliseconds. The
-/// minimum is the noise-robust estimator on shared/virtualized hardware.
-pub fn time_pair_min_ms<FA: FnMut(), FB: FnMut()>(reps: usize, mut a: FA, mut b: FB) -> (f64, f64) {
-    a(); // warmups
-    b();
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        a();
-        best_a = best_a.min(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        b();
-        best_b = best_b.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (best_a, best_b)
-}
 
 /// A live AvA OpenCL environment (the stack must outlive the client).
 pub struct AvaEnv {
@@ -69,20 +34,11 @@ pub struct AvaEnv {
     pub vm: ava_wire::VmId,
 }
 
-/// The paravirtual cost model used by the headline experiments.
-pub fn default_model() -> CostModel {
-    CostModel::paravirtual()
-}
-
-/// Builds an AvA environment over a fresh silo with all workload kernels.
-pub fn ava_env(scale: Scale, opts: LowerOptions, model: CostModel, kind: TransportKind) -> AvaEnv {
-    ava_env_batched(scale, opts, model, kind, 0)
-}
-
-/// Like [`ava_env`], with rCUDA-style API batching enabled at `batch_max`
-/// (0 disables). The headline Figure-5 configuration batches async calls —
-/// part of the "optimized specification" of §5.
-pub fn ava_env_batched(
+/// Builds an AvA environment over a fresh silo with all workload kernels,
+/// with rCUDA-style API batching enabled at `batch_max` (0 disables).
+/// Batching the async stream is part of the "optimized specification" of
+/// §5.
+pub fn ava_env(
     scale: Scale,
     opts: LowerOptions,
     model: CostModel,
@@ -143,18 +99,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_is_robust_to_one_outlier() {
-        let mut calls = 0;
-        let t = time_median_ms(3, || {
-            calls += 1;
-            if calls == 2 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-        });
-        assert!(t < 15.0, "median {t} should ignore the slow outlier");
-    }
-
-    #[test]
     fn jain_bounds_and_known_values() {
         assert!((jain(&[5.0, 5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
         // One VM hogging everything: J = 1/n.
@@ -181,6 +125,7 @@ mod tests {
             LowerOptions::default(),
             CostModel::free(),
             TransportKind::InProcess,
+            0,
         );
         let platforms = env.client.get_platform_ids().unwrap();
         assert_eq!(platforms.len(), 1);
