@@ -4,9 +4,11 @@
 use std::sync::Arc;
 
 use ava_guest::{CallResult, GuestLibrary};
-use ava_wire::Value;
+use ava_wire::{FnId, Value};
 use simnc::status::{NcError, NcResult, MVNC_ERROR, MVNC_OK};
 use simnc::{DeviceOption, GraphOption, MvncApi, NcDevice, NcGraph};
+
+use super::{call_by_id, fn_table};
 
 /// Option codes (mirrors `specs/mvnc/mvnc.h`).
 mod code {
@@ -19,15 +21,32 @@ mod code {
 /// Placeholder requesting an out-parameter.
 const WANT: Value = Value::U64(1);
 
+fn_table!(Nc {
+    GetDeviceName => "mvncGetDeviceName",
+    OpenDevice => "mvncOpenDevice",
+    CloseDevice => "mvncCloseDevice",
+    AllocateGraph => "mvncAllocateGraph",
+    DeallocateGraph => "mvncDeallocateGraph",
+    LoadTensor => "mvncLoadTensor",
+    GetResult => "mvncGetResult",
+    SetGraphOption => "mvncSetGraphOption",
+    GetGraphOption => "mvncGetGraphOption",
+    SetDeviceOption => "mvncSetDeviceOption",
+    GetDeviceOption => "mvncGetDeviceOption",
+});
+
 /// The remoting NCSDK client.
 pub struct MvncClient {
     lib: Arc<GuestLibrary>,
+    /// `FnId` of every entry point, indexed by [`Nc`].
+    fns: Vec<Option<FnId>>,
 }
 
 impl MvncClient {
     /// Wraps a guest library configured with the MVNC descriptor.
     pub fn new(lib: Arc<GuestLibrary>) -> Self {
-        MvncClient { lib }
+        let fns = Nc::resolve(lib.descriptor());
+        MvncClient { lib, fns }
     }
 
     /// The underlying guest library (for stats inspection).
@@ -35,8 +54,8 @@ impl MvncClient {
         &self.lib
     }
 
-    fn call(&self, name: &str, args: Vec<Value>) -> NcResult<CallResult> {
-        self.lib.call(name, args).map_err(|_| NcError(MVNC_ERROR))
+    fn call(&self, func: Nc, args: Vec<Value>) -> NcResult<CallResult> {
+        call_by_id(&self.lib, self.fns[func as usize], args).map_err(|_| NcError(MVNC_ERROR))
     }
 
     fn status(result: &CallResult) -> NcResult<()> {
@@ -51,7 +70,7 @@ impl MvncClient {
 impl MvncApi for MvncClient {
     fn get_device_name(&self, index: usize) -> NcResult<String> {
         let r = self.call(
-            "mvncGetDeviceName",
+            Nc::GetDeviceName,
             vec![Value::I32(index as i32), WANT, Value::U32(64)],
         )?;
         Self::status(&r)?;
@@ -64,7 +83,7 @@ impl MvncApi for MvncClient {
     }
 
     fn open_device(&self, name: &str) -> NcResult<NcDevice> {
-        let r = self.call("mvncOpenDevice", vec![Value::Str(name.to_string()), WANT])?;
+        let r = self.call(Nc::OpenDevice, vec![Value::Str(name.to_string()), WANT])?;
         Self::status(&r)?;
         r.output(1)
             .and_then(Value::as_handle)
@@ -73,12 +92,12 @@ impl MvncApi for MvncClient {
     }
 
     fn close_device(&self, device: NcDevice) -> NcResult<()> {
-        Self::status(&self.call("mvncCloseDevice", vec![Value::Handle(device.0)])?)
+        Self::status(&self.call(Nc::CloseDevice, vec![Value::Handle(device.0)])?)
     }
 
     fn allocate_graph(&self, device: NcDevice, graph_blob: &[u8]) -> NcResult<NcGraph> {
         let r = self.call(
-            "mvncAllocateGraph",
+            Nc::AllocateGraph,
             vec![
                 Value::Handle(device.0),
                 WANT,
@@ -94,12 +113,12 @@ impl MvncApi for MvncClient {
     }
 
     fn deallocate_graph(&self, graph: NcGraph) -> NcResult<()> {
-        Self::status(&self.call("mvncDeallocateGraph", vec![Value::Handle(graph.0)])?)
+        Self::status(&self.call(Nc::DeallocateGraph, vec![Value::Handle(graph.0)])?)
     }
 
     fn load_tensor(&self, graph: NcGraph, tensor: &[u8], user_param: u64) -> NcResult<()> {
         Self::status(&self.call(
-            "mvncLoadTensor",
+            Nc::LoadTensor,
             vec![
                 Value::Handle(graph.0),
                 Value::Bytes(tensor.to_vec().into()),
@@ -114,7 +133,7 @@ impl MvncApi for MvncClient {
         // result_size reports the true length.
         let cap = 1 << 20;
         let r = self.call(
-            "mvncGetResult",
+            Nc::GetResult,
             vec![Value::Handle(graph.0), WANT, Value::U32(cap), WANT, WANT],
         )?;
         Self::status(&r)?;
@@ -136,7 +155,7 @@ impl MvncApi for MvncClient {
             GraphOption::TimeTaken => code::MVNC_TIME_TAKEN,
         };
         Self::status(&self.call(
-            "mvncSetGraphOption",
+            Nc::SetGraphOption,
             vec![Value::Handle(graph.0), Value::I32(opt), Value::U64(value)],
         )?)
     }
@@ -147,7 +166,7 @@ impl MvncApi for MvncClient {
             GraphOption::TimeTaken => code::MVNC_TIME_TAKEN,
         };
         let r = self.call(
-            "mvncGetGraphOption",
+            Nc::GetGraphOption,
             vec![Value::Handle(graph.0), Value::I32(opt), WANT],
         )?;
         Self::status(&r)?;
@@ -167,7 +186,7 @@ impl MvncApi for MvncClient {
             DeviceOption::MaxExecutors => code::MVNC_MAX_EXECUTORS,
         };
         Self::status(&self.call(
-            "mvncSetDeviceOption",
+            Nc::SetDeviceOption,
             vec![Value::Handle(device.0), Value::I32(opt), Value::U64(value)],
         )?)
     }
@@ -178,7 +197,7 @@ impl MvncApi for MvncClient {
             DeviceOption::MaxExecutors => code::MVNC_MAX_EXECUTORS,
         };
         let r = self.call(
-            "mvncGetDeviceOption",
+            Nc::GetDeviceOption,
             vec![Value::Handle(device.0), Value::I32(opt), WANT],
         )?;
         Self::status(&r)?;

@@ -6,10 +6,12 @@
 use std::sync::Arc;
 
 use ava_guest::{CallResult, GuestLibrary};
-use ava_wire::Value;
+use ava_wire::{FnId, Value};
 use simcl::status::{ClError, ClResult, CL_OUT_OF_RESOURCES, CL_SUCCESS};
 use simcl::types::*;
 use simcl::ClApi;
+
+use super::{call_by_id, fn_table};
 
 /// Info-query parameter codes (mirrors `specs/CL/cl.h`).
 mod code {
@@ -35,15 +37,63 @@ mod code {
 /// A placeholder that requests an out-parameter without carrying data.
 const WANT: Value = Value::U64(1);
 
+fn_table!(Cl {
+    GetPlatformIDs => "clGetPlatformIDs",
+    GetPlatformInfo => "clGetPlatformInfo",
+    GetDeviceIDs => "clGetDeviceIDs",
+    GetDeviceInfo => "clGetDeviceInfo",
+    CreateContext => "clCreateContext",
+    RetainContext => "clRetainContext",
+    ReleaseContext => "clReleaseContext",
+    GetContextInfo => "clGetContextInfo",
+    CreateCommandQueue => "clCreateCommandQueue",
+    RetainCommandQueue => "clRetainCommandQueue",
+    ReleaseCommandQueue => "clReleaseCommandQueue",
+    CreateBuffer => "clCreateBuffer",
+    CreateImage => "clCreateImage",
+    RetainMemObject => "clRetainMemObject",
+    ReleaseMemObject => "clReleaseMemObject",
+    GetMemObjectInfo => "clGetMemObjectInfo",
+    CreateProgramWithSource => "clCreateProgramWithSource",
+    BuildProgram => "clBuildProgram",
+    CompileProgram => "clCompileProgram",
+    GetProgramBuildInfo => "clGetProgramBuildInfo",
+    RetainProgram => "clRetainProgram",
+    ReleaseProgram => "clReleaseProgram",
+    CreateKernel => "clCreateKernel",
+    CreateKernelsInProgram => "clCreateKernelsInProgram",
+    SetKernelArgMem => "clSetKernelArgMem",
+    SetKernelArgLocal => "clSetKernelArgLocal",
+    SetKernelArg => "clSetKernelArg",
+    GetKernelWorkGroupInfo => "clGetKernelWorkGroupInfo",
+    RetainKernel => "clRetainKernel",
+    ReleaseKernel => "clReleaseKernel",
+    EnqueueNDRangeKernel => "clEnqueueNDRangeKernel",
+    EnqueueTask => "clEnqueueTask",
+    EnqueueReadBuffer => "clEnqueueReadBuffer",
+    EnqueueWriteBuffer => "clEnqueueWriteBuffer",
+    EnqueueCopyBuffer => "clEnqueueCopyBuffer",
+    Flush => "clFlush",
+    Finish => "clFinish",
+    WaitForEvents => "clWaitForEvents",
+    GetEventInfo => "clGetEventInfo",
+    GetEventProfilingInfo => "clGetEventProfilingInfo",
+    RetainEvent => "clRetainEvent",
+    ReleaseEvent => "clReleaseEvent",
+});
+
 /// The remoting OpenCL client.
 pub struct OpenClClient {
     lib: Arc<GuestLibrary>,
+    /// `FnId` of every entry point, indexed by [`Cl`].
+    fns: Vec<Option<FnId>>,
 }
 
 impl OpenClClient {
     /// Wraps a guest library configured with the OpenCL descriptor.
     pub fn new(lib: Arc<GuestLibrary>) -> Self {
-        OpenClClient { lib }
+        let fns = Cl::resolve(lib.descriptor());
+        OpenClClient { lib, fns }
     }
 
     /// The underlying guest library (for stats inspection).
@@ -51,9 +101,8 @@ impl OpenClClient {
         &self.lib
     }
 
-    fn call(&self, name: &str, args: Vec<Value>) -> ClResult<CallResult> {
-        self.lib
-            .call(name, args)
+    fn call(&self, func: Cl, args: Vec<Value>) -> ClResult<CallResult> {
+        call_by_id(&self.lib, self.fns[func as usize], args)
             .map_err(|_| ClError(CL_OUT_OF_RESOURCES))
     }
 
@@ -103,10 +152,10 @@ impl OpenClClient {
     }
 
     /// The two-call info idiom shared by all Get*Info entry points.
-    fn get_info_raw(&self, fn_name: &str, subject: u64, param: u32) -> ClResult<Vec<u8>> {
+    fn get_info_raw(&self, func: Cl, subject: u64, param: u32) -> ClResult<Vec<u8>> {
         // First call: ask for the value size.
         let r = self.call(
-            fn_name,
+            func,
             vec![
                 Value::Handle(subject),
                 Value::U32(param),
@@ -119,7 +168,7 @@ impl OpenClClient {
         let size = Self::out_u64(&r, 4)?;
         // Second call: fetch the value.
         let r = self.call(
-            fn_name,
+            func,
             vec![
                 Value::Handle(subject),
                 Value::U32(param),
@@ -153,11 +202,11 @@ impl OpenClClient {
 
 impl ClApi for OpenClClient {
     fn get_platform_ids(&self) -> ClResult<Vec<ClPlatform>> {
-        let r = self.call("clGetPlatformIDs", vec![Value::U32(0), Value::Null, WANT])?;
+        let r = self.call(Cl::GetPlatformIDs, vec![Value::U32(0), Value::Null, WANT])?;
         Self::status(&r)?;
         let count = Self::out_u64(&r, 2)?;
         let r = self.call(
-            "clGetPlatformIDs",
+            Cl::GetPlatformIDs,
             vec![Value::U32(count as u32), WANT, Value::Null],
         )?;
         Self::status(&r)?;
@@ -178,7 +227,7 @@ impl ClApi for OpenClClient {
             PlatformInfo::Vendor => code::CL_PLATFORM_VENDOR,
             PlatformInfo::Version => code::CL_PLATFORM_VERSION,
         };
-        let raw = self.get_info_raw("clGetPlatformInfo", platform.0, param)?;
+        let raw = self.get_info_raw(Cl::GetPlatformInfo, platform.0, param)?;
         String::from_utf8(raw).map_err(|_| ClError(CL_OUT_OF_RESOURCES))
     }
 
@@ -189,7 +238,7 @@ impl ClApi for OpenClClient {
             DeviceType::Accelerator => code::CL_DEVICE_TYPE_ACCELERATOR,
         };
         let r = self.call(
-            "clGetDeviceIDs",
+            Cl::GetDeviceIDs,
             vec![
                 Value::Handle(platform.0),
                 Value::U64(ty_bits),
@@ -201,7 +250,7 @@ impl ClApi for OpenClClient {
         Self::status(&r)?;
         let count = Self::out_u64(&r, 4)?;
         let r = self.call(
-            "clGetDeviceIDs",
+            Cl::GetDeviceIDs,
             vec![
                 Value::Handle(platform.0),
                 Value::U64(ty_bits),
@@ -232,7 +281,7 @@ impl ClApi for OpenClClient {
             DeviceInfo::LocalMemSize => (code::CL_DEVICE_LOCAL_MEM_SIZE, false),
             DeviceInfo::Type => (code::CL_DEVICE_TYPE_INFO, false),
         };
-        let raw = self.get_info_raw("clGetDeviceInfo", device.0, param)?;
+        let raw = self.get_info_raw(Cl::GetDeviceInfo, device.0, param)?;
         if is_string {
             Ok(InfoValue::Str(
                 String::from_utf8(raw).map_err(|_| ClError(CL_OUT_OF_RESOURCES))?,
@@ -245,7 +294,7 @@ impl ClApi for OpenClClient {
 
     fn create_context(&self, device: ClDevice) -> ClResult<ClContext> {
         let r = self.call(
-            "clCreateContext",
+            Cl::CreateContext,
             vec![
                 Value::U32(1),
                 Value::List(vec![Value::Handle(device.0)]),
@@ -258,15 +307,15 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_context(&self, context: ClContext) -> ClResult<()> {
-        Self::status(&self.call("clRetainContext", vec![Value::Handle(context.0)])?)
+        Self::status(&self.call(Cl::RetainContext, vec![Value::Handle(context.0)])?)
     }
 
     fn release_context(&self, context: ClContext) -> ClResult<()> {
-        Self::status(&self.call("clReleaseContext", vec![Value::Handle(context.0)])?)
+        Self::status(&self.call(Cl::ReleaseContext, vec![Value::Handle(context.0)])?)
     }
 
     fn get_context_info(&self, context: ClContext) -> ClResult<ClDevice> {
-        let r = self.call("clGetContextInfo", vec![Value::Handle(context.0), WANT])?;
+        let r = self.call(Cl::GetContextInfo, vec![Value::Handle(context.0), WANT])?;
         Self::status(&r)?;
         Self::out_handle(&r, 1).map(ClDevice)
     }
@@ -278,7 +327,7 @@ impl ClApi for OpenClClient {
         props: QueueProps,
     ) -> ClResult<ClQueue> {
         let r = self.call(
-            "clCreateCommandQueue",
+            Cl::CreateCommandQueue,
             vec![
                 Value::Handle(context.0),
                 Value::Handle(device.0),
@@ -290,11 +339,11 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_command_queue(&self, queue: ClQueue) -> ClResult<()> {
-        Self::status(&self.call("clRetainCommandQueue", vec![Value::Handle(queue.0)])?)
+        Self::status(&self.call(Cl::RetainCommandQueue, vec![Value::Handle(queue.0)])?)
     }
 
     fn release_command_queue(&self, queue: ClQueue) -> ClResult<()> {
-        Self::status(&self.call("clReleaseCommandQueue", vec![Value::Handle(queue.0)])?)
+        Self::status(&self.call(Cl::ReleaseCommandQueue, vec![Value::Handle(queue.0)])?)
     }
 
     fn create_buffer(
@@ -309,7 +358,7 @@ impl ClApi for OpenClClient {
             None => Value::Null,
         };
         let r = self.call(
-            "clCreateBuffer",
+            Cl::CreateBuffer,
             vec![
                 Value::Handle(context.0),
                 Value::U64(flags.to_bits()),
@@ -333,7 +382,7 @@ impl ClApi for OpenClClient {
             None => Value::Null,
         };
         let r = self.call(
-            "clCreateImage",
+            Cl::CreateImage,
             vec![
                 Value::Handle(context.0),
                 Value::U64(flags.to_bits()),
@@ -348,22 +397,22 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_mem_object(&self, mem: ClMem) -> ClResult<()> {
-        Self::status(&self.call("clRetainMemObject", vec![Value::Handle(mem.0)])?)
+        Self::status(&self.call(Cl::RetainMemObject, vec![Value::Handle(mem.0)])?)
     }
 
     fn release_mem_object(&self, mem: ClMem) -> ClResult<()> {
-        Self::status(&self.call("clReleaseMemObject", vec![Value::Handle(mem.0)])?)
+        Self::status(&self.call(Cl::ReleaseMemObject, vec![Value::Handle(mem.0)])?)
     }
 
     fn get_mem_object_info(&self, mem: ClMem) -> ClResult<usize> {
-        let r = self.call("clGetMemObjectInfo", vec![Value::Handle(mem.0), WANT])?;
+        let r = self.call(Cl::GetMemObjectInfo, vec![Value::Handle(mem.0), WANT])?;
         Self::status(&r)?;
         Ok(Self::out_u64(&r, 1)? as usize)
     }
 
     fn create_program_with_source(&self, context: ClContext, source: &str) -> ClResult<ClProgram> {
         let r = self.call(
-            "clCreateProgramWithSource",
+            Cl::CreateProgramWithSource,
             vec![
                 Value::Handle(context.0),
                 Value::Str(source.to_string()),
@@ -375,27 +424,27 @@ impl ClApi for OpenClClient {
 
     fn build_program(&self, program: ClProgram, options: &str) -> ClResult<()> {
         Self::status(&self.call(
-            "clBuildProgram",
+            Cl::BuildProgram,
             vec![Value::Handle(program.0), Value::Str(options.to_string())],
         )?)
     }
 
     fn compile_program(&self, program: ClProgram, options: &str) -> ClResult<()> {
         Self::status(&self.call(
-            "clCompileProgram",
+            Cl::CompileProgram,
             vec![Value::Handle(program.0), Value::Str(options.to_string())],
         )?)
     }
 
     fn get_program_build_info(&self, program: ClProgram) -> ClResult<String> {
         let r = self.call(
-            "clGetProgramBuildInfo",
+            Cl::GetProgramBuildInfo,
             vec![Value::Handle(program.0), Value::U64(0), Value::Null, WANT],
         )?;
         Self::status(&r)?;
         let size = Self::out_u64(&r, 3)?;
         let r = self.call(
-            "clGetProgramBuildInfo",
+            Cl::GetProgramBuildInfo,
             vec![
                 Value::Handle(program.0),
                 Value::U64(size),
@@ -409,16 +458,16 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_program(&self, program: ClProgram) -> ClResult<()> {
-        Self::status(&self.call("clRetainProgram", vec![Value::Handle(program.0)])?)
+        Self::status(&self.call(Cl::RetainProgram, vec![Value::Handle(program.0)])?)
     }
 
     fn release_program(&self, program: ClProgram) -> ClResult<()> {
-        Self::status(&self.call("clReleaseProgram", vec![Value::Handle(program.0)])?)
+        Self::status(&self.call(Cl::ReleaseProgram, vec![Value::Handle(program.0)])?)
     }
 
     fn create_kernel(&self, program: ClProgram, name: &str) -> ClResult<ClKernel> {
         let r = self.call(
-            "clCreateKernel",
+            Cl::CreateKernel,
             vec![Value::Handle(program.0), Value::Str(name.to_string()), WANT],
         )?;
         Self::created(&r, 2).map(ClKernel)
@@ -426,13 +475,13 @@ impl ClApi for OpenClClient {
 
     fn create_kernels_in_program(&self, program: ClProgram) -> ClResult<Vec<ClKernel>> {
         let r = self.call(
-            "clCreateKernelsInProgram",
+            Cl::CreateKernelsInProgram,
             vec![Value::Handle(program.0), Value::U32(0), Value::Null, WANT],
         )?;
         Self::status(&r)?;
         let count = Self::out_u64(&r, 3)?;
         let r = self.call(
-            "clCreateKernelsInProgram",
+            Cl::CreateKernelsInProgram,
             vec![
                 Value::Handle(program.0),
                 Value::U32(count as u32),
@@ -455,7 +504,7 @@ impl ClApi for OpenClClient {
     fn set_kernel_arg(&self, kernel: ClKernel, index: u32, arg: KernelArg) -> ClResult<()> {
         let r = match arg {
             KernelArg::Mem(mem) => self.call(
-                "clSetKernelArgMem",
+                Cl::SetKernelArgMem,
                 vec![
                     Value::Handle(kernel.0),
                     Value::U32(index),
@@ -463,7 +512,7 @@ impl ClApi for OpenClClient {
                 ],
             )?,
             KernelArg::Local(size) => self.call(
-                "clSetKernelArgLocal",
+                Cl::SetKernelArgLocal,
                 vec![
                     Value::Handle(kernel.0),
                     Value::U32(index),
@@ -471,7 +520,7 @@ impl ClApi for OpenClClient {
                 ],
             )?,
             KernelArg::Scalar(bytes) => self.call(
-                "clSetKernelArg",
+                Cl::SetKernelArg,
                 vec![
                     Value::Handle(kernel.0),
                     Value::U32(index),
@@ -485,7 +534,7 @@ impl ClApi for OpenClClient {
 
     fn get_kernel_work_group_info(&self, kernel: ClKernel, device: ClDevice) -> ClResult<usize> {
         let r = self.call(
-            "clGetKernelWorkGroupInfo",
+            Cl::GetKernelWorkGroupInfo,
             vec![Value::Handle(kernel.0), Value::Handle(device.0), WANT],
         )?;
         Self::status(&r)?;
@@ -493,11 +542,11 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_kernel(&self, kernel: ClKernel) -> ClResult<()> {
-        Self::status(&self.call("clRetainKernel", vec![Value::Handle(kernel.0)])?)
+        Self::status(&self.call(Cl::RetainKernel, vec![Value::Handle(kernel.0)])?)
     }
 
     fn release_kernel(&self, kernel: ClKernel) -> ClResult<()> {
-        Self::status(&self.call("clReleaseKernel", vec![Value::Handle(kernel.0)])?)
+        Self::status(&self.call(Cl::ReleaseKernel, vec![Value::Handle(kernel.0)])?)
     }
 
     fn enqueue_nd_range_kernel(
@@ -518,7 +567,7 @@ impl ClApi for OpenClClient {
         };
         let (n, list) = Self::event_list(wait);
         let r = self.call(
-            "clEnqueueNDRangeKernel",
+            Cl::EnqueueNDRangeKernel,
             vec![
                 Value::Handle(queue.0),
                 Value::Handle(kernel.0),
@@ -544,7 +593,7 @@ impl ClApi for OpenClClient {
     ) -> ClResult<Option<ClEvent>> {
         let (n, list) = Self::event_list(wait);
         let r = self.call(
-            "clEnqueueTask",
+            Cl::EnqueueTask,
             vec![
                 Value::Handle(queue.0),
                 Value::Handle(kernel.0),
@@ -569,7 +618,7 @@ impl ClApi for OpenClClient {
     ) -> ClResult<Option<ClEvent>> {
         let (n, list) = Self::event_list(wait);
         let r = self.call(
-            "clEnqueueReadBuffer",
+            Cl::EnqueueReadBuffer,
             vec![
                 Value::Handle(queue.0),
                 Value::Handle(mem.0),
@@ -603,7 +652,7 @@ impl ClApi for OpenClClient {
     ) -> ClResult<Option<ClEvent>> {
         let (n, list) = Self::event_list(wait);
         let r = self.call(
-            "clEnqueueWriteBuffer",
+            Cl::EnqueueWriteBuffer,
             vec![
                 Value::Handle(queue.0),
                 Value::Handle(mem.0),
@@ -633,7 +682,7 @@ impl ClApi for OpenClClient {
     ) -> ClResult<Option<ClEvent>> {
         let (n, list) = Self::event_list(wait);
         let r = self.call(
-            "clEnqueueCopyBuffer",
+            Cl::EnqueueCopyBuffer,
             vec![
                 Value::Handle(queue.0),
                 Value::Handle(src.0),
@@ -651,20 +700,20 @@ impl ClApi for OpenClClient {
     }
 
     fn flush(&self, queue: ClQueue) -> ClResult<()> {
-        Self::status(&self.call("clFlush", vec![Value::Handle(queue.0)])?)
+        Self::status(&self.call(Cl::Flush, vec![Value::Handle(queue.0)])?)
     }
 
     fn finish(&self, queue: ClQueue) -> ClResult<()> {
-        Self::status(&self.call("clFinish", vec![Value::Handle(queue.0)])?)
+        Self::status(&self.call(Cl::Finish, vec![Value::Handle(queue.0)])?)
     }
 
     fn wait_for_events(&self, events: &[ClEvent]) -> ClResult<()> {
         let (n, list) = Self::event_list(events);
-        Self::status(&self.call("clWaitForEvents", vec![n, list])?)
+        Self::status(&self.call(Cl::WaitForEvents, vec![n, list])?)
     }
 
     fn get_event_info(&self, event: ClEvent) -> ClResult<EventStatus> {
-        let r = self.call("clGetEventInfo", vec![Value::Handle(event.0), WANT])?;
+        let r = self.call(Cl::GetEventInfo, vec![Value::Handle(event.0), WANT])?;
         Self::status(&r)?;
         let raw = r
             .output(1)
@@ -676,7 +725,7 @@ impl ClApi for OpenClClient {
     fn get_event_profiling_info(&self, event: ClEvent) -> ClResult<ProfilingInfo> {
         let fetch = |param: u32| -> ClResult<u64> {
             let r = self.call(
-                "clGetEventProfilingInfo",
+                Cl::GetEventProfilingInfo,
                 vec![Value::Handle(event.0), Value::U32(param), WANT],
             )?;
             Self::status(&r)?;
@@ -691,10 +740,10 @@ impl ClApi for OpenClClient {
     }
 
     fn retain_event(&self, event: ClEvent) -> ClResult<()> {
-        Self::status(&self.call("clRetainEvent", vec![Value::Handle(event.0)])?)
+        Self::status(&self.call(Cl::RetainEvent, vec![Value::Handle(event.0)])?)
     }
 
     fn release_event(&self, event: ClEvent) -> ClResult<()> {
-        Self::status(&self.call("clReleaseEvent", vec![Value::Handle(event.0)])?)
+        Self::status(&self.call(Cl::ReleaseEvent, vec![Value::Handle(event.0)])?)
     }
 }

@@ -494,8 +494,11 @@ struct VmRuntime {
 }
 
 impl VmRuntime {
+    /// Stops the serving thread after it drains its delivered backlog.
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
+        // Cut the serve loop's receive short rather than wait out its poll.
+        self.transport.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -19,11 +19,11 @@
 
 mod error;
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ava_spec::{ApiDescriptor, ElemKind, FunctionDesc, RetDesc, ScalarKind, Transfer};
+use ava_spec::{ApiDescriptor, ElemKind, EvalEnv, FunctionDesc, RetDesc, ScalarKind, Transfer};
 use ava_telemetry::{Counter, EventKind, Histogram, Stage, Telemetry, Tier};
 use ava_transport::BoxedTransport;
 use ava_wire::{
@@ -138,6 +138,7 @@ pub struct GuestStats {
 
 /// Bookkeeping for an async call whose reply has not been consumed yet.
 struct PendingCall {
+    call_id: CallId,
     fn_id: FnId,
     /// Full-payload copy kept for `CacheMiss` resends; `None` when the
     /// transfer cache is disabled or the call carried no eligible buffers.
@@ -150,8 +151,9 @@ struct PendingCall {
 
 struct Inner {
     next_call_id: CallId,
-    /// Async calls whose replies have not been consumed yet.
-    pending: HashMap<CallId, PendingCall>,
+    /// Async calls whose replies have not been consumed yet, in call-id
+    /// order: ids only grow, and each sync reply retires a prefix.
+    pending: VecDeque<PendingCall>,
     /// First asynchronous failure awaiting delivery.
     deferred_error: Option<Value>,
     /// Batched (not yet sent) async calls.
@@ -255,7 +257,7 @@ impl GuestLibrary {
             fn_hists: Vec::new(),
             inner: Mutex::new(Inner {
                 next_call_id: 1,
-                pending: HashMap::new(),
+                pending: VecDeque::new(),
                 deferred_error: None,
                 batch: Vec::new(),
                 batch_started: None,
@@ -310,6 +312,12 @@ impl GuestLibrary {
         self.counters.snapshot()
     }
 
+    /// Async calls still tracked for a possible failure reply or resend.
+    /// A completed sync call retires every async call issued before it.
+    pub fn pending_async(&self) -> usize {
+        self.inner.lock().pending.len()
+    }
+
     /// Invokes `name` with wire-form arguments.
     ///
     /// Input buffers are passed as [`Value::Bytes`]/[`Value::List`];
@@ -333,9 +341,8 @@ impl GuestLibrary {
         // does, so the span covers marshal/verify work too.
         let entry_nanos = self.telemetry.now_nanos();
 
-        self.verify_args(func, &args)?;
-
         let env = self.desc.env_for(func, &args);
+        self.verify_args(func, &args, &env)?;
         let policy_sync = func
             .is_sync_for(&env, &self.desc.types)
             .map_err(|e| GuestError::BadArgument(e.to_string()))?;
@@ -359,17 +366,14 @@ impl GuestLibrary {
                 budget_us: initial_budget_us(&self.config),
             };
             let batch_limit = self.batch_limit();
-            inner.pending.insert(
+            inner.pending.push_back(PendingCall {
                 call_id,
-                PendingCall {
-                    fn_id: func.id,
-                    resend,
-                    // A retry can only ever fire when a deadline is armed,
-                    // so the wire copy is dead weight without one.
-                    wire: (batch_limit > 0 && self.config.call_deadline.is_some())
-                        .then(|| req.clone()),
-                },
-            );
+                fn_id: func.id,
+                resend,
+                // A retry can only ever fire when a deadline is armed, so
+                // the wire copy is dead weight without one.
+                wire: (batch_limit > 0 && self.config.call_deadline.is_some()).then(|| req.clone()),
+            });
             if batch_limit > 0 {
                 // A batch that aged past the delay budget flushes before
                 // this call joins, so coalescing never holds a call back
@@ -379,6 +383,7 @@ impl GuestLibrary {
                 }
                 if inner.batch.is_empty() {
                     inner.batch_started = Some(Instant::now());
+                    inner.batch.reserve(batch_limit);
                 }
                 inner.batch.push(req);
                 self.counters.batched_calls.inc();
@@ -652,7 +657,9 @@ impl GuestLibrary {
         }
         // The server processes in order, so every async call sent before
         // this sync call has completed; forget its bookkeeping.
-        inner.pending.retain(|id, _| *id > call_id);
+        while inner.pending.front().is_some_and(|p| p.call_id < call_id) {
+            inner.pending.pop_front();
+        }
 
         match reply.status {
             ReplyStatus::Ok => {}
@@ -857,11 +864,12 @@ impl GuestLibrary {
     /// executed and stays pending); any failure is remembered for deferred
     /// delivery.
     fn consume_async_reply(&self, inner: &mut Inner, rep: CallReply) {
+        let pending = inner
+            .pending
+            .binary_search_by_key(&rep.call_id, |p| p.call_id)
+            .ok();
         if rep.status == ReplyStatus::CacheMiss {
-            let full = inner
-                .pending
-                .get(&rep.call_id)
-                .and_then(|p| p.resend.clone());
+            let full = pending.and_then(|i| inner.pending[i].resend.clone());
             if let Some(full) = full {
                 self.counters.payload_cache_misses.inc();
                 repair_cache(
@@ -879,7 +887,7 @@ impl GuestLibrary {
         if rep.status == ReplyStatus::Overloaded {
             self.counters.overloaded.inc();
         }
-        let Some(PendingCall { fn_id, .. }) = inner.pending.remove(&rep.call_id) else {
+        let Some(PendingCall { fn_id, .. }) = pending.and_then(|i| inner.pending.remove(i)) else {
             return;
         };
         if inner.deferred_error.is_some() {
@@ -908,8 +916,9 @@ impl GuestLibrary {
         }
     }
 
-    /// Client-side argument verification against the descriptor.
-    fn verify_args(&self, func: &FunctionDesc, args: &[Value]) -> Result<()> {
+    /// Client-side argument verification against the descriptor; `env`
+    /// binds `args` to `func`'s parameter names.
+    fn verify_args(&self, func: &FunctionDesc, args: &[Value], env: &EvalEnv<'_>) -> Result<()> {
         if args.len() != func.params.len() {
             return Err(GuestError::BadArgument(format!(
                 "`{}` takes {} arguments, got {}",
@@ -918,7 +927,6 @@ impl GuestLibrary {
                 args.len()
             )));
         }
-        let env = self.desc.env_for(func, args);
         for (param, arg) in func.params.iter().zip(args.iter()) {
             match (&param.transfer, arg) {
                 (Transfer::Scalar(_), v)
@@ -935,7 +943,7 @@ impl GuestLibrary {
                         continue; // permissible for nullable/out buffers
                     }
                     let expected = len
-                        .eval_size(&env, &self.desc.types)
+                        .eval_size(env, &self.desc.types)
                         .map_err(|e| GuestError::BadArgument(e.to_string()))?;
                     match (elem, value) {
                         (ElemKind::Handle { .. }, Value::List(items)) => {
@@ -1036,8 +1044,8 @@ fn rebuild_retry_frame(inner: &Inner, sync_req: &CallRequest, budget_us: u64) ->
     let mut riders: Vec<CallRequest> = inner
         .pending
         .iter()
-        .filter(|(id, _)| **id < sync_req.call_id)
-        .filter_map(|(_, p)| p.wire.clone())
+        .take_while(|p| p.call_id < sync_req.call_id)
+        .filter_map(|p| p.wire.clone())
         .map(|mut r| {
             r.budget_us = budget_us;
             r
@@ -1046,7 +1054,6 @@ fn rebuild_retry_frame(inner: &Inner, sync_req: &CallRequest, budget_us: u64) ->
     if riders.is_empty() {
         return Message::Call(sync_req);
     }
-    riders.sort_by_key(|r| r.call_id);
     riders.push(sync_req);
     Message::Batch(riders)
 }
@@ -1270,9 +1277,11 @@ toy_status toy_store(toy_buf buf, const void *data, size_t data_size) {
             lib.call("toy_poke", vec![h.clone(), Value::U32(i)])
                 .unwrap();
         }
+        assert_eq!(lib.pending_async(), 5);
         // A sync call flushes the batch and orders after it.
         lib.call("toy_init", vec![Value::U32(0)]).unwrap();
         assert_eq!(lib.stats().batched_calls, 5);
+        assert_eq!(lib.pending_async(), 0, "the sync reply retired them all");
         shutdown(lib);
         let seen = server.join().unwrap();
         // Server saw create, then the 5 pokes, then init — in order.

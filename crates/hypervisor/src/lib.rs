@@ -572,20 +572,35 @@ mod tests {
                 CostModel::free(),
             )
             .unwrap();
-        // Crash the server, then issue a call: forwarding fails, the call
-        // is requeued, and the lane suspends.
+        // Crash the server, then issue calls: forwarding the run fails, the
+        // router gets it back and requeues it, and the lane suspends.
         drop(conn.server);
-        conn.guest.send(&call(1)).unwrap();
+        conn.guest
+            .send(&Message::Batch(
+                (1..=3)
+                    .map(|id| CallRequest {
+                        call_id: id,
+                        fn_id: 0,
+                        mode: CallMode::Sync,
+                        args: vec![Value::U32(1)],
+                        budget_us: 0,
+                    })
+                    .collect(),
+            ))
+            .unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        // Respawn: attach a fresh server transport; the queued call flows.
+        // Respawn: attach a fresh server transport; the queued run flows,
+        // in its original order.
         let new_server = hv.reattach_server(conn.vm_id).unwrap();
         let echo = spawn_echo(new_server);
-        match conn.guest.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Some(Message::Reply(rep)) => {
-                assert_eq!(rep.call_id, 1);
-                assert_eq!(rep.status, ReplyStatus::Ok);
+        for id in 1..=3 {
+            match conn.guest.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Some(Message::Reply(rep)) => {
+                    assert_eq!(rep.call_id, id);
+                    assert_eq!(rep.status, ReplyStatus::Ok);
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
         conn.guest
             .send(&Message::Control(ControlMessage::Shutdown))

@@ -667,7 +667,7 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                 None => u64::MAX,
             };
             let take_cap = run_max.min(config.max_forward_per_round - forwarded_round);
-            let mut outgoing: Vec<CallRequest> = Vec::new();
+            let mut outgoing = Vec::with_capacity(take_cap.min(lane.queue.len()));
             while outgoing.len() < take_cap {
                 let Some(front) = lane.queue.front() else {
                     break;
@@ -777,17 +777,16 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                         .span_stage_deferred(req.call_id, Stage::Forwarded, None);
                 }
             }
+            let n = outgoing.len() as u64;
             let msg = if outgoing.len() == 1 {
                 Message::Call(outgoing.pop().expect("len checked"))
             } else {
                 Message::Batch(outgoing)
             };
-            match lane.server.send(&msg) {
+            // The run is moved, not cloned: the in-process hop to the
+            // server hands the very allocation over.
+            match lane.server.send_owned(msg) {
                 Ok(()) => {
-                    let n = match &msg {
-                        Message::Batch(reqs) => reqs.len() as u64,
-                        _ => 1,
-                    };
                     lane.metrics.forwarded.add(n);
                     // Async calls are fire-and-forget: the server only
                     // replies on failure, so they are not tracked as
@@ -797,7 +796,7 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                         slots.entry(s, &telemetry).outstanding.add(sync_count);
                     }
                 }
-                Err(_) => {
+                Err((_, msg)) => {
                     // The run never reached the server: requeue it at the
                     // front in order (nothing newer was forwarded, so
                     // order is preserved) and suspend the lane for the
@@ -880,11 +879,11 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                         // guaranteed to see it.
                         lane.telemetry
                             .span_stage_deferred(rep.call_id, Stage::Replied, None);
-                        let _ = lane.guest.send(&Message::Reply(rep));
+                        let _ = lane.guest.send_owned(Message::Reply(rep));
                         progressed = true;
                     }
                     Ok(Some(other)) => {
-                        let _ = lane.guest.send(&other);
+                        let _ = lane.guest.send_owned(other);
                         progressed = true;
                     }
                     Ok(None) => break,

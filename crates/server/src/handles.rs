@@ -7,8 +7,9 @@
 //! device-side object was evicted and its payload parked in host memory
 //! (buffer-granularity swapping, §4.3).
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use ava_telemetry::IntMap;
 
 use crate::error::{Result, ServerError};
 
@@ -42,7 +43,7 @@ pub struct HandleEntry {
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
-    map: HashMap<u64, HandleEntry>,
+    map: IntMap<u64, HandleEntry>,
 }
 
 impl HandleTable {
@@ -50,7 +51,7 @@ impl HandleTable {
     pub fn new() -> Self {
         HandleTable {
             next: 0x4000_0000,
-            map: HashMap::new(),
+            map: IntMap::default(),
         }
     }
 

@@ -124,6 +124,7 @@ mod tests {
                     self.objects.remove(&silo);
                     Ok(HandlerOutput::ret(Value::I32(0)))
                 }
+                "toy_bind" | "toy_use" => Ok(HandlerOutput::ret(Value::I32(0))),
                 other => Err(ServerError::Handler(format!("unknown fn {other}"))),
             }
         }
@@ -177,6 +178,8 @@ toy_status toy_destroy(toy_buf buf) {
   record(dealloc);
   parameter(buf) { deallocates; }
 }
+toy_status toy_bind(toy_buf holder, toy_buf dep) { record(modify); }
+toy_status toy_use(toy_buf a, toy_buf b) { }
 "#;
 
     fn toy_descriptor() -> Arc<ApiDescriptor> {
@@ -362,6 +365,36 @@ toy_status toy_destroy(toy_buf buf) {
         assert_eq!(server.stats().swap_ins, 1);
         // h2 was untouched by the dance.
         assert_eq!(&read_buf(&mut server, &desc, h2, 6), b"second");
+    }
+
+    #[test]
+    fn swap_victims_follow_recency_with_arguments_newer_than_their_closure() {
+        let desc = toy_descriptor();
+        let mut server = ApiServer::new(Arc::clone(&desc), Box::new(ToyHandler::new(1024)));
+        // Distinct sizes name the victim by the live bytes it takes away.
+        let [b1, b2, b3, _b4] = [1, 2, 4, 8].map(|size| create_buf(&mut server, &desc, size));
+        let two = |server: &mut ApiServer, name: &str, a: u64, b: u64| {
+            let rep =
+                server.handle_call(call(&desc, name, vec![Value::Handle(a), Value::Handle(b)]));
+            assert_eq!(rep.status, ReplyStatus::Ok);
+        };
+        // b1 now references b2, so a call naming b1 reaches b2 as well.
+        two(&mut server, "toy_bind", b1, b2);
+        // Reached: the arguments b3 then b1, and b1's closure {b2}. The
+        // closure is touched first, then the arguments in parameter order.
+        two(&mut server, "toy_use", b3, b1);
+        // Never touched since creation, b4 is the coldest of all.
+        let mut victims = Vec::new();
+        while server.live_device_mem() > 0 {
+            let before = server.live_device_mem();
+            assert!(server.swap_out_one_victim().unwrap());
+            victims.push(before - server.live_device_mem());
+        }
+        assert_eq!(victims, vec![8, 2, 4, 1], "b4, then b2 < b3 < b1");
+        assert!(
+            !server.swap_out_one_victim().unwrap(),
+            "nothing resident is left"
+        );
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! One [`MemoryManager`] exists per device (pool slot, or per VM on
 //! private stacks). It is the bookkeeping half of the §4.3 swapping
 //! machinery: the [`ApiServer`] decides *when* to evict (device OOM or
-//! capacity pressure) and *which* object is eligible; the manager tracks
-//! the outcome — which buffers are resident on the device versus parked
-//! in host memory — and keeps the swapped payloads in a
-//! digest-deduplicated store so identical content swapped out by
-//! different VMs (or re-swapped by one) is held once.
+//! capacity pressure) and *which* object goes (its LRU order is the
+//! stack's only one); the manager tracks the outcome — which buffers are
+//! resident on the device versus parked in host memory — and keeps the
+//! swapped payloads in a digest-deduplicated store so identical content
+//! swapped out by different VMs (or re-swapped by one) is held once.
 //!
 //! Accounting invariant (property-tested): for every manager,
 //! `resident_bytes + swapped_bytes == live_bytes`, where live bytes is
@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ava_telemetry::{Counter, Gauge, Registry};
+use ava_telemetry::{Counter, Gauge, IntMap, Registry};
 use ava_wire::{digest64, VmId};
 
 /// A point-in-time view of one manager's accounting.
@@ -53,8 +53,6 @@ struct BufState {
     resident: bool,
     /// Digest of the parked payload while swapped (host-store key).
     digest: Option<u64>,
-    /// Manager-local LRU clock stamp of the last touch.
-    last_use: u64,
 }
 
 #[derive(Debug)]
@@ -65,9 +63,8 @@ struct StoreEntry {
 
 #[derive(Default)]
 struct MemState {
-    buffers: HashMap<(VmId, u64), BufState>,
+    buffers: IntMap<(VmId, u64), BufState>,
     store: HashMap<u64, StoreEntry>,
-    clock: u64,
     resident_bytes: u64,
     swapped_bytes: u64,
     host_store_bytes: u64,
@@ -153,13 +150,10 @@ impl MemoryManager {
     /// its residency side.
     pub fn alloc(&self, vm: VmId, wire: u64, bytes: u64) {
         let mut st = self.locked();
-        st.clock += 1;
-        let stamp = st.clock;
         match st.buffers.get_mut(&(vm, wire)) {
             Some(buf) => {
                 let old = buf.bytes;
                 buf.bytes = bytes;
-                buf.last_use = stamp;
                 if buf.resident {
                     st.resident_bytes = st.resident_bytes.saturating_sub(old) + bytes;
                 } else {
@@ -173,7 +167,6 @@ impl MemoryManager {
                         bytes,
                         resident: true,
                         digest: None,
-                        last_use: stamp,
                     },
                 );
                 st.resident_bytes += bytes;
@@ -226,30 +219,6 @@ impl MemoryManager {
                 }
             }
         }
-    }
-
-    /// Records a use of a buffer for LRU ordering. Unknown buffers are
-    /// ignored.
-    pub fn touch(&self, vm: VmId, wire: u64) {
-        let mut st = self.locked();
-        st.clock += 1;
-        let stamp = st.clock;
-        if let Some(buf) = st.buffers.get_mut(&(vm, wire)) {
-            buf.last_use = stamp;
-        }
-    }
-
-    /// The least-recently-touched *resident* buffer owned by `vm`, if
-    /// any — the manager's LRU eviction candidate. Ties (identical
-    /// stamps cannot happen; the clock is strictly monotonic) are moot,
-    /// so the order is fully deterministic for a fixed touch sequence.
-    pub fn evict_candidate(&self, vm: VmId) -> Option<u64> {
-        let st = self.locked();
-        st.buffers
-            .iter()
-            .filter(|(k, b)| k.0 == vm && b.resident)
-            .min_by_key(|(_, b)| b.last_use)
-            .map(|(k, _)| k.1)
     }
 
     /// Marks a buffer evicted and parks its payload in the host store,
@@ -313,8 +282,6 @@ impl MemoryManager {
     /// no-op.
     pub fn note_faulted(&self, vm: VmId, wire: u64) {
         let mut st = self.locked();
-        st.clock += 1;
-        let stamp = st.clock;
         let Some(buf) = st.buffers.get_mut(&(vm, wire)) else {
             return;
         };
@@ -322,7 +289,6 @@ impl MemoryManager {
             return;
         }
         buf.resident = true;
-        buf.last_use = stamp;
         let digest = buf.digest.take();
         let bytes = buf.bytes;
         st.swapped_bytes = st.swapped_bytes.saturating_sub(bytes);
@@ -480,25 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_candidate_follows_touch_order() {
-        let mm = MemoryManager::new(None);
-        mm.alloc(1, 10, 1);
-        mm.alloc(1, 11, 1);
-        mm.alloc(1, 12, 1);
-        assert_eq!(mm.evict_candidate(1), Some(10));
-        mm.touch(1, 10);
-        assert_eq!(mm.evict_candidate(1), Some(11));
-        mm.touch(1, 11);
-        assert_eq!(mm.evict_candidate(1), Some(12));
-        // Swapped buffers are never candidates.
-        mm.note_evicted(1, 12, payload(1, 1));
-        assert_eq!(mm.evict_candidate(1), Some(10));
-        // Other VMs' buffers are invisible.
-        mm.alloc(2, 50, 1);
-        assert_eq!(mm.evict_candidate(1), Some(10));
-    }
-
-    #[test]
     fn double_evict_and_double_fault_are_idempotent() {
         let mm = MemoryManager::new(None);
         mm.alloc(1, 10, 40);
@@ -548,8 +495,6 @@ mod tests {
         mm.note_faulted(1, 10);
         assert_eq!(mm.stats().resident_bytes, 100);
         mm.alloc(1, 11, 50);
-        mm.touch(1, 11);
-        assert_eq!(mm.evict_candidate(1), Some(10));
         assert!(!mm.over_capacity(0));
         assert_eq!(mm.vm_bytes(1), 150);
         assert_eq!(mm.resident_bytes(), 150);
@@ -565,8 +510,7 @@ mod tests {
     enum Op {
         Alloc { vm: VmId, wire: u64, bytes: u64 },
         Free { vm: VmId, wire: u64 },
-        Touch { vm: VmId, wire: u64 },
-        Evict { vm: VmId },
+        Evict { vm: VmId, wire: u64 },
         Fault { vm: VmId, wire: u64 },
         FreeAll { vm: VmId },
     }
@@ -581,38 +525,31 @@ mod tests {
                 bytes
             }),
             (vm.clone(), wire.clone()).prop_map(|(vm, wire)| Op::Free { vm, wire }),
-            (vm.clone(), wire.clone()).prop_map(|(vm, wire)| Op::Touch { vm, wire }),
-            vm.clone().prop_map(|vm| Op::Evict { vm }),
+            (vm.clone(), wire.clone()).prop_map(|(vm, wire)| Op::Evict { vm, wire }),
             (vm.clone(), wire).prop_map(|(vm, wire)| Op::Fault { vm, wire }),
             vm.prop_map(|vm| Op::FreeAll { vm }),
         ]
     }
 
-    fn run_ops(mm: &MemoryManager, ops: &[Op]) -> Vec<Option<u64>> {
-        let mut evicted = Vec::new();
+    fn run_ops(mm: &MemoryManager, ops: &[Op]) {
         for op in ops {
             match *op {
                 Op::Alloc { vm, wire, bytes } => mm.alloc(vm, wire, bytes),
                 Op::Free { vm, wire } => mm.free(vm, wire),
-                Op::Touch { vm, wire } => mm.touch(vm, wire),
-                Op::Evict { vm } => {
-                    let victim = mm.evict_candidate(vm);
-                    if let Some(wire) = victim {
-                        let bytes = 16usize; // payload length need not match accounting
-                        mm.note_evicted(vm, wire, payload(wire as u8, bytes));
-                    }
-                    evicted.push(victim);
+                Op::Evict { vm, wire } => {
+                    // Payload length need not match accounting; equal wires
+                    // park equal content, so the store dedups across VMs.
+                    mm.note_evicted(vm, wire, payload(wire as u8, 16));
                 }
                 Op::Fault { vm, wire } => mm.note_faulted(vm, wire),
                 Op::FreeAll { vm } => mm.free_all(vm),
             }
         }
-        evicted
     }
 
     proptest! {
         /// The core invariant: however the workload interleaves
-        /// alloc/free/touch/evict/fault, resident + swapped == live.
+        /// alloc/free/evict/fault, resident + swapped == live.
         #[test]
         fn residency_invariant_holds(ops in proptest::collection::vec(arb_op(), 0..64)) {
             let mm = MemoryManager::new(None);
@@ -622,17 +559,6 @@ mod tests {
             // live_bytes must equal the sum over per-VM footprints.
             let per_vm: u64 = (0..3).map(|vm| mm.vm_bytes(vm)).sum();
             prop_assert_eq!(per_vm, s.live_bytes);
-        }
-
-        /// LRU eviction order is a pure function of the op sequence:
-        /// replaying the same ops on a fresh manager picks the same
-        /// victims in the same order.
-        #[test]
-        fn lru_order_is_deterministic(ops in proptest::collection::vec(arb_op(), 0..64)) {
-            let a = MemoryManager::new(None);
-            let b = MemoryManager::new(None);
-            prop_assert_eq!(run_ops(&a, &ops), run_ops(&b, &ops));
-            prop_assert_eq!(a.stats(), b.stats());
         }
 
         /// Store refcounts can never leak: freeing everything empties the

@@ -7,7 +7,7 @@
 //! performs buffer-granularity swapping, and delegates API execution to
 //! the CAvA-generated [`ApiHandler`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use ava_spec::{
     ApiDescriptor, Direction, ElemKind, FunctionDesc, RecordCategory, RetDesc, Transfer,
 };
-use ava_telemetry::{Counter, EventKind, Histogram, Stage, Telemetry, Tier};
+use ava_telemetry::{Counter, EventKind, Histogram, IntMap, Stage, Telemetry, Tier};
 use ava_transport::{Transport, TransportError};
 use ava_wire::{
     digest64, CallId, CallMode, CallReply, CallRequest, ControlMessage, DigestLru, Message,
@@ -124,16 +124,20 @@ pub struct ApiServer {
     records: RecordLog,
     /// Estimated device bytes per allocated wire handle (from
     /// `resource(device_mem, ...)` annotations).
-    mem_sizes: HashMap<u64, u64>,
+    mem_sizes: IntMap<u64, u64>,
     /// Object→object references learned from modify records (e.g. a
     /// kernel binding a mem buffer via `clSetKernelArgMem`): dispatching
     /// a call that names the referrer must fault the referents back in
     /// too, because the device will touch them without their handles ever
     /// appearing in the argument list.
-    deps: HashMap<u64, Vec<u64>>,
-    /// LRU clock for swap victim selection.
+    deps: IntMap<u64, Vec<u64>>,
+    /// LRU clock for swap victim selection — the stack's one LRU; the
+    /// [`MemoryManager`] only keeps residency books.
     use_clock: u64,
-    last_use: HashMap<u64, u64>,
+    last_use: IntMap<u64, u64>,
+    /// The handles a call reaches (see `execute`), kept between calls so
+    /// the per-call path reuses one allocation.
+    reached: Vec<u64>,
     counters: ServerCounters,
     telemetry: Telemetry,
     /// Per-function execute histograms (`server.execute.<fn>`), indexed by
@@ -206,10 +210,11 @@ impl ApiServer {
             handler,
             handles: HandleTable::new(),
             records: RecordLog::new(),
-            mem_sizes: HashMap::new(),
-            deps: HashMap::new(),
+            mem_sizes: IntMap::default(),
+            deps: IntMap::default(),
             use_clock: 0,
-            last_use: HashMap::new(),
+            last_use: IntMap::default(),
+            reached: Vec::new(),
             counters: ServerCounters::default(),
             telemetry: Telemetry::disabled(),
             fn_hists: Vec::new(),
@@ -448,7 +453,7 @@ impl ApiServer {
                 // old has no waiter left — its original either arrived or
                 // the caller has long since given up.
                 if let Some(reply) = self.cached_reply(req.call_id) {
-                    if transport.send(&Message::Reply(reply)).is_err() {
+                    if transport.send_owned(Message::Reply(reply)).is_err() {
                         return Err(());
                     }
                 }
@@ -475,7 +480,7 @@ impl ApiServer {
                 // suppression) so guest- and stack-side overload counts
                 // reconcile.
                 if transport
-                    .send(&Message::Reply(CallReply::overloaded(req.call_id)))
+                    .send_owned(Message::Reply(CallReply::overloaded(req.call_id)))
                     .is_err()
                 {
                     return Err(());
@@ -494,21 +499,16 @@ impl ApiServer {
                 ret: Value::Unit,
                 outputs: Vec::new(),
             };
-            if transport.send(&Message::Reply(nack)).is_err() {
+            if transport.send_owned(Message::Reply(nack)).is_err() {
                 return Err(());
             }
             return Ok(());
         }
-        let (fn_id, mode) = (req.fn_id, req.mode);
-        let journal_req = if self.journal.is_some() {
-            Some(req.clone())
-        } else {
-            None
-        };
-        let reply = self.handle_call(req);
-        self.note_executed(mode, journal_req, &reply);
-        if self.should_reply(fn_id, mode, &reply) && transport.send(&Message::Reply(reply)).is_err()
-        {
+        let reply = self.respond(&req);
+        let send = self.should_reply(req.fn_id, req.mode, &reply);
+        // The journal is the request's last owner: it moves in, uncloned.
+        self.note_executed(req, &reply);
+        if send && transport.send_owned(Message::Reply(reply)).is_err() {
             return Err(());
         }
         Ok(())
@@ -534,20 +534,15 @@ impl ApiServer {
     /// duplicates are suppressed silently), and append to the crash
     /// journal. `CacheMiss` NACKs never reach here: a NACKed call did not
     /// execute, so its retransmission must not be treated as a duplicate.
-    fn note_executed(
-        &mut self,
-        mode: CallMode,
-        journal_req: Option<CallRequest>,
-        reply: &CallReply,
-    ) {
+    fn note_executed(&mut self, request: CallRequest, reply: &CallReply) {
         self.highwater = Some(match self.highwater {
             Some(h) => h.max(reply.call_id),
             None => reply.call_id,
         });
-        if mode == CallMode::Sync {
+        if request.mode == CallMode::Sync {
             self.remember_reply(reply.clone());
         }
-        if let (Some(journal), Some(request)) = (&self.journal, journal_req) {
+        if let Some(journal) = &self.journal {
             if let Ok(mut j) = journal.lock() {
                 j.record(request, reply.clone());
             }
@@ -575,7 +570,7 @@ impl ApiServer {
     pub fn replay_journal(&mut self, entries: &[JournalEntry]) -> u64 {
         let mut replayed = 0;
         for entry in entries {
-            let _ = self.handle_call(entry.request.clone());
+            let _ = self.respond(&entry.request);
             self.highwater = Some(match self.highwater {
                 Some(h) => h.max(entry.request.call_id),
                 None => entry.request.call_id,
@@ -639,13 +634,19 @@ impl ApiServer {
 
     /// Executes one call and builds its reply.
     pub fn handle_call(&mut self, req: CallRequest) -> CallReply {
+        self.respond(&req)
+    }
+
+    /// [`ApiServer::handle_call`] by reference, so the serve path can hand
+    /// the request on to the journal and replay needs no copy of it.
+    fn respond(&mut self, req: &CallRequest) -> CallReply {
         let enabled = self.telemetry.enabled();
         let start = if enabled {
             self.telemetry.now_nanos()
         } else {
             0
         };
-        let result = self.execute(&req);
+        let result = self.execute(req);
         if enabled {
             // One clock read serves the histogram and the span stamp.
             let end = self.telemetry.now_nanos();
@@ -723,17 +724,19 @@ impl ApiServer {
                 });
             }
         }
-        if let (Some(bytes), Some(mm)) = (alloc_bytes, self.memory.clone()) {
-            // Proactive LRU eviction: keep the device's resident set under
-            // the configured capacity. Only this VM's objects are eligible
-            // victims; if the pressure comes from a neighbour on a shared
-            // slot, the device-OOM retry loop below remains the backstop.
-            let mut evictions = 0;
-            while mm.over_capacity(bytes) && evictions < 64 {
-                if !self.swap_out_one_victim()? {
-                    break;
+        // Proactive LRU eviction: keep the device's resident set under the
+        // configured capacity. Only this VM's objects are eligible victims;
+        // if the pressure comes from a neighbour on a shared slot, the
+        // device-OOM retry loop below remains the backstop.
+        if let Some(bytes) = alloc_bytes {
+            if let Some(mm) = self.memory.clone() {
+                let mut evictions = 0;
+                while mm.over_capacity(bytes) && evictions < 64 {
+                    if !self.swap_out_one_victim()? {
+                        break;
+                    }
+                    evictions += 1;
                 }
-                evictions += 1;
             }
         }
 
@@ -743,10 +746,15 @@ impl ApiServer {
         // without their handles appearing in the argument list). Each
         // fault-in runs under the same proactive capacity pressure a
         // fresh allocation faces, because without eviction here one scan
-        // over an overcommitted working set would end fully resident.
-        // Everything reachable is touched first so LRU never victimizes
-        // an object this very call is about to use.
-        let mut needed: Vec<u64> = Vec::new();
+        // over an overcommitted working set would end fully resident;
+        // the needed set is pinned, so LRU never victimizes an object
+        // this very call is about to use.
+        //
+        // Each reached handle is touched once: the dependency closure
+        // here, the arguments (in parameter order) by `translate_args`
+        // below, so arguments end up more recent than their closure.
+        let mut needed = std::mem::take(&mut self.reached);
+        needed.clear();
         for (param, arg) in func.params.iter().zip(req.args.iter()) {
             if let Transfer::Handle { .. } = &param.transfer {
                 if let Value::Handle(wire) = arg {
@@ -756,6 +764,7 @@ impl ApiServer {
                 }
             }
         }
+        let arg_count = needed.len();
         let mut i = 0;
         while i < needed.len() {
             if let Some(refs) = self.deps.get(&needed[i]) {
@@ -767,7 +776,7 @@ impl ApiServer {
             }
             i += 1;
         }
-        for &wire in &needed {
+        for &wire in &needed[arg_count..] {
             self.touch(wire);
         }
         for &wire in &needed {
@@ -785,6 +794,7 @@ impl ApiServer {
                 self.swap_in(wire)?;
             }
         }
+        self.reached = needed;
 
         let silo_args = self.translate_args(func, &req.args)?;
 
@@ -792,14 +802,14 @@ impl ApiServer {
         // The handler lock is held per attempt, not across the eviction
         // loop: swap-out re-enters the handler and the mutex is not
         // reentrant.
-        let mut out = self.handler.lock().dispatch(func, &silo_args)?;
+        let (mut out, mut oom) = self.dispatch(func, &silo_args)?;
         let mut evictions = 0;
-        while self.handler.lock().ret_indicates_oom(func, &out.ret) && evictions < 64 {
+        while oom && evictions < 64 {
             if !self.swap_out_one_victim()? {
                 break;
             }
             evictions += 1;
-            out = self.handler.lock().dispatch(func, &silo_args)?;
+            (out, oom) = self.dispatch(func, &silo_args)?;
         }
 
         // Translate handle outputs to wire handles.
@@ -870,6 +880,15 @@ impl ApiServer {
         Ok((ret, outputs))
     }
 
+    /// One dispatch under one handler lock: the output plus whether it
+    /// reports device OOM.
+    fn dispatch(&self, func: &FunctionDesc, args: &[Value]) -> Result<(HandlerOutput, bool)> {
+        let mut handler = self.handler.lock();
+        let out = handler.dispatch(func, args)?;
+        let oom = handler.ret_indicates_oom(func, &out.ret);
+        Ok((out, oom))
+    }
+
     fn estimate_mem(&self, func: &FunctionDesc, args: &[Value]) -> Option<u64> {
         let env = self.desc.env_for(func, args);
         for res in &func.resources {
@@ -889,8 +908,9 @@ impl ApiServer {
         for (param, arg) in func.params.iter().zip(args.iter()) {
             let translated = match (&param.transfer, arg) {
                 (Transfer::Handle { kind, .. }, Value::Handle(wire)) => {
+                    let silo = self.handles.to_silo(*wire, kind)?;
                     self.touch(*wire);
-                    Value::Handle(self.handles.to_silo(*wire, kind)?)
+                    Value::Handle(silo)
                 }
                 (Transfer::Handle { .. }, Value::Null) if param.nullable => Value::Null,
                 (Transfer::Handle { .. }, other) => {
@@ -910,8 +930,9 @@ impl ApiServer {
                     for item in items {
                         match item {
                             Value::Handle(wire) => {
+                                let silo = self.handles.to_silo(*wire, kind)?;
                                 self.touch(*wire);
-                                translated.push(Value::Handle(self.handles.to_silo(*wire, kind)?));
+                                translated.push(Value::Handle(silo));
                             }
                             other => {
                                 return Err(ServerError::BadArguments(format!(
@@ -1020,11 +1041,7 @@ impl ApiServer {
 
     fn touch(&mut self, wire: u64) {
         self.use_clock += 1;
-        let clock = self.use_clock;
-        self.last_use.insert(wire, clock);
-        if let Some(mm) = &self.memory {
-            mm.touch(self.mem_vm, wire);
-        }
+        self.last_use.insert(wire, self.use_clock);
     }
 
     // ---- Buffer-granularity swapping (§4.3) -----------------------------
@@ -1126,14 +1143,14 @@ impl ApiServer {
         // Re-allocation may itself hit device OOM; evict other victims
         // until it fits (the wire handle being swapped in is not live and
         // therefore never selected as its own victim).
-        let mut out = self.handler.lock().dispatch(&func, &silo_args)?;
+        let (mut out, mut oom) = self.dispatch(&func, &silo_args)?;
         let mut evictions = 0;
-        while self.handler.lock().ret_indicates_oom(&func, &out.ret) && evictions < 64 {
+        while oom && evictions < 64 {
             if !self.swap_out_one_victim()? {
                 break;
             }
             evictions += 1;
-            out = self.handler.lock().dispatch(&func, &silo_args)?;
+            (out, oom) = self.dispatch(&func, &silo_args)?;
         }
         let (kind, silo) = match (&func.ret, &out.ret) {
             (RetDesc::Handle { kind }, Value::Handle(silo)) => (kind.clone(), *silo),

@@ -272,11 +272,7 @@ impl ApiDescriptor {
         func: &'a FunctionDesc,
         args: &'a [ava_wire::Value],
     ) -> EvalEnv<'a> {
-        let mut env = EvalEnv::with_constants(&self.constants);
-        for (param, value) in func.params.iter().zip(args.iter()) {
-            env.bind_value(&param.name, value);
-        }
-        env
+        EvalEnv::for_call(&self.constants, &func.params, args)
     }
 }
 

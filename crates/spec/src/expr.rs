@@ -13,6 +13,7 @@ use std::fmt;
 use ava_wire::Value;
 
 use crate::ctypes::{CType, TypeTable};
+use crate::descriptor::ParamDesc;
 use crate::error::{Result, SpecError, SpecErrorKind};
 use crate::lexer::{Cursor, Tok};
 
@@ -95,10 +96,14 @@ impl fmt::Display for Expr {
 /// Name → value bindings for evaluation.
 ///
 /// Parameter lists are tiny (≤ a dozen names), so bindings live in a
-/// linear vector — faster than a map on the marshaling hot path.
+/// linear vector — faster than a map on the marshaling hot path. A call's
+/// own arguments are not copied in at all: they are read where they lie,
+/// when an expression names them, so building the environment for a call
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EvalEnv<'a> {
     params: Vec<(&'a str, i64)>,
+    call: Option<(&'a [ParamDesc], &'a [Value])>,
     constants: Option<&'a BTreeMap<String, i64>>,
 }
 
@@ -107,6 +112,21 @@ impl<'a> EvalEnv<'a> {
     pub fn with_constants(constants: &'a BTreeMap<String, i64>) -> Self {
         EvalEnv {
             params: Vec::new(),
+            call: None,
+            constants: Some(constants),
+        }
+    }
+
+    /// An environment binding each of `params` to the wire value at the
+    /// same position in `args`, as [`EvalEnv::bind_value`] would.
+    pub(crate) fn for_call(
+        constants: &'a BTreeMap<String, i64>,
+        params: &'a [ParamDesc],
+        args: &'a [Value],
+    ) -> Self {
+        EvalEnv {
+            params: Vec::new(),
+            call: Some((params, args)),
             constants: Some(constants),
         }
     }
@@ -120,23 +140,37 @@ impl<'a> EvalEnv<'a> {
     /// Non-integral values (buffers, strings) are simply not bound;
     /// referencing them in an expression is then an evaluation error.
     pub fn bind_value(&mut self, name: &'a str, value: &Value) {
-        if let Some(v) = value.as_i64() {
+        if let Some(v) = integral(value) {
             self.params.push((name, v));
-        } else if value.is_null() {
-            self.params.push((name, 0));
         }
     }
 
     fn lookup(&self, name: &str) -> Option<i64> {
-        // Later bindings shadow earlier ones and parameters shadow
-        // constants, so scan from the back.
+        // Later bindings shadow earlier ones, explicit bindings shadow the
+        // call's arguments, and parameters shadow constants, so scan from
+        // the back.
         self.params
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
+            .or_else(|| {
+                let (params, args) = self.call?;
+                params
+                    .iter()
+                    .zip(args)
+                    .rev()
+                    .find(|(p, _)| p.name == name)
+                    .and_then(|(_, value)| integral(value))
+            })
             .or_else(|| self.constants.and_then(|c| c.get(name).copied()))
     }
+}
+
+/// The integer an expression sees for a wire value: its integral value,
+/// 0 for null, and nothing for a buffer or string.
+fn integral(value: &Value) -> Option<i64> {
+    value.as_i64().or(value.is_null().then_some(0))
 }
 
 impl Expr {

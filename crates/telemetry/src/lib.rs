@@ -25,12 +25,14 @@
 //! compiling telemetry in does not tax the forwarding fast path.
 
 pub mod export;
+pub mod hash;
 pub mod histogram;
 pub mod recorder;
 pub mod registry;
 pub mod slo;
 pub mod span;
 
+pub use hash::{IntHasher, IntMap};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use recorder::{pack_slots, unpack_slots, Event, EventKind, FlightRecorder, Tier};
 pub use registry::{Counter, Gauge, Registry, Snapshot};

@@ -12,48 +12,16 @@
 //!  |  marshal  | transport | queue  |  server    |  reply    | return  |
 //! ```
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use crate::hash::IntMap;
 
 /// Identifies one call across tiers: `(vm_id, call_id)`.
 pub type SpanKey = (u32, u64);
 
-/// A multiply-xor hasher (FxHash-style) for the active-span maps. Span
-/// keys are tiny and attacker-free, and the map is locked on every stage
-/// stamp of every call — SipHash's DoS resistance costs more here than
-/// the whole critical section it guards.
-#[derive(Default)]
-struct SpanKeyHasher(u64);
-
-impl Hasher for SpanKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(26);
-    }
-}
-
-type ActiveMap = HashMap<SpanKey, SpanRecord, BuildHasherDefault<SpanKeyHasher>>;
+/// The active-span map, locked on every stage stamp of every call.
+type ActiveMap = IntMap<SpanKey, SpanRecord>;
 
 /// Lifecycle stages a span passes through, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -43,6 +43,17 @@ pub trait Transport: Send + Sync {
     /// Sends one message. Blocks if the channel is full.
     fn send(&self, msg: &Message) -> Result<()>;
 
+    /// Sends one message the caller is done with. A transport that hands
+    /// messages over without serializing them moves it instead of cloning
+    /// it; on failure the message comes back with the error, so the caller
+    /// can requeue it.
+    fn send_owned(&self, msg: Message) -> std::result::Result<(), (TransportError, Message)> {
+        match self.send(&msg) {
+            Ok(()) => Ok(()),
+            Err(e) => Err((e, msg)),
+        }
+    }
+
     /// Receives the next message, blocking until one arrives or the peer
     /// closes.
     fn recv(&self) -> Result<Message>;
@@ -52,6 +63,11 @@ pub trait Transport: Send + Sync {
 
     /// Receives the next message, waiting at most `timeout`.
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>>;
+
+    /// Wakes a receiver blocked in [`Transport::recv_timeout`] on this
+    /// endpoint: it returns `Ok(None)` early and queued messages stay
+    /// queued. Default: no-op, the receiver wakes at its timeout.
+    fn wake(&self) {}
 
     /// Closes the endpoint; the peer's pending and future operations fail
     /// with [`TransportError::Closed`] once drained.
