@@ -47,7 +47,7 @@ use ava_core::{
     opencl_pool_stack, opencl_stack, ApiStack, OpenClClient, PolicyDefaults, StackError,
 };
 use ava_guest::GuestLibrary;
-use ava_telemetry::{Counter, Registry};
+use ava_telemetry::{metric_set, MetricSet, Registry};
 use ava_transport::{FaultAction, FaultPlan};
 use ava_wire::{Message, VmId};
 use ava_workloads::{opencl_workloads, silo_with_all_kernels, Scale};
@@ -68,33 +68,17 @@ struct VmEntry {
     runs: AtomicU64,
 }
 
-/// Front-door request counters, registered into the stack's telemetry
-/// registry so they ride the existing `/metrics` exporter
-/// (`ava_frontdoor_*_total` families).
-struct FrontdoorCounters {
-    requests: Counter,
-    unauthorized: Counter,
-    scrapes: Counter,
-    vms_created: Counter,
-    vms_deleted: Counter,
-    workload_runs: Counter,
-}
-
-impl FrontdoorCounters {
-    fn register(registry: &Registry) -> Self {
-        let make = |name: &str| {
-            let c = Counter::new();
-            registry.register_counter(name, &c);
-            c
-        };
-        FrontdoorCounters {
-            requests: make("frontdoor.requests"),
-            unauthorized: make("frontdoor.unauthorized"),
-            scrapes: make("frontdoor.scrapes"),
-            vms_created: make("frontdoor.vms_created"),
-            vms_deleted: make("frontdoor.vms_deleted"),
-            workload_runs: make("frontdoor.workload_runs"),
-        }
+metric_set! {
+    /// Front-door request counters, registered into the stack's telemetry
+    /// registry as `frontdoor.*` so they ride the existing `/metrics`
+    /// exporter (`ava_frontdoor_*_total` families).
+    struct FrontdoorCounters {
+        requests: Counter,
+        unauthorized: Counter,
+        scrapes: Counter,
+        vms_created: Counter,
+        vms_deleted: Counter,
+        workload_runs: Counter,
     }
 }
 
@@ -173,7 +157,8 @@ impl Daemon {
         .map_err(|e| format!("cannot build stack: {e}"))?;
 
         let registry = Registry::new();
-        let counters = FrontdoorCounters::register(&registry);
+        let counters = FrontdoorCounters::default();
+        counters.register(&registry, "frontdoor");
         stack
             .set_telemetry(registry)
             .map_err(|e| format!("cannot attach telemetry: {e}"))?;

@@ -7,13 +7,7 @@ use ava_wire::Value;
 use simnc::status::MVNC_OK;
 use simnc::{DeviceOption, GraphOption, MvncApi, NcDevice, NcGraph, SimNc};
 
-/// Option codes (mirrors `specs/mvnc/mvnc.h`).
-mod code {
-    pub const MVNC_DONT_BLOCK: i64 = 0;
-    pub const MVNC_TIME_TAKEN: i64 = 1;
-    pub const MVNC_THERMAL_THROTTLE: i64 = 0;
-    pub const MVNC_MAX_EXECUTORS: i64 = 1;
-}
+use crate::specs::mvnc_code as code;
 
 /// The MVNC handler bound to one `SimNc` instance.
 pub struct MvncHandler {
@@ -167,9 +161,9 @@ impl ApiHandler for MvncHandler {
             }
             "mvncSetGraphOption" => {
                 let graph = NcGraph(handle(args, 0)?);
-                let option = match int(args, 1)? {
-                    code::MVNC_DONT_BLOCK => GraphOption::DontBlock,
-                    code::MVNC_TIME_TAKEN => GraphOption::TimeTaken,
+                let option = match i32::try_from(int(args, 1)?) {
+                    Ok(code::MVNC_DONT_BLOCK) => GraphOption::DontBlock,
+                    Ok(code::MVNC_TIME_TAKEN) => GraphOption::TimeTaken,
                     _ => return Ok(status_ret(simnc::status::MVNC_INVALID_PARAMETERS)),
                 };
                 let value = uint(args, 2)?;
@@ -183,9 +177,9 @@ impl ApiHandler for MvncHandler {
             }
             "mvncGetGraphOption" => {
                 let graph = NcGraph(handle(args, 0)?);
-                let option = match int(args, 1)? {
-                    code::MVNC_DONT_BLOCK => GraphOption::DontBlock,
-                    code::MVNC_TIME_TAKEN => GraphOption::TimeTaken,
+                let option = match i32::try_from(int(args, 1)?) {
+                    Ok(code::MVNC_DONT_BLOCK) => GraphOption::DontBlock,
+                    Ok(code::MVNC_TIME_TAKEN) => GraphOption::TimeTaken,
                     _ => return Ok(status_ret(simnc::status::MVNC_INVALID_PARAMETERS)),
                 };
                 match self.nc.get_graph_option(graph, option) {
@@ -201,9 +195,9 @@ impl ApiHandler for MvncHandler {
             }
             "mvncSetDeviceOption" => {
                 let dev = NcDevice(handle(args, 0)?);
-                let option = match int(args, 1)? {
-                    code::MVNC_THERMAL_THROTTLE => DeviceOption::ThermalThrottle,
-                    code::MVNC_MAX_EXECUTORS => DeviceOption::MaxExecutors,
+                let option = match i32::try_from(int(args, 1)?) {
+                    Ok(code::MVNC_THERMAL_THROTTLE) => DeviceOption::ThermalThrottle,
+                    Ok(code::MVNC_MAX_EXECUTORS) => DeviceOption::MaxExecutors,
                     _ => return Ok(status_ret(simnc::status::MVNC_INVALID_PARAMETERS)),
                 };
                 let value = uint(args, 2)?;
@@ -217,9 +211,9 @@ impl ApiHandler for MvncHandler {
             }
             "mvncGetDeviceOption" => {
                 let dev = NcDevice(handle(args, 0)?);
-                let option = match int(args, 1)? {
-                    code::MVNC_THERMAL_THROTTLE => DeviceOption::ThermalThrottle,
-                    code::MVNC_MAX_EXECUTORS => DeviceOption::MaxExecutors,
+                let option = match i32::try_from(int(args, 1)?) {
+                    Ok(code::MVNC_THERMAL_THROTTLE) => DeviceOption::ThermalThrottle,
+                    Ok(code::MVNC_MAX_EXECUTORS) => DeviceOption::MaxExecutors,
                     _ => return Ok(status_ret(simnc::status::MVNC_INVALID_PARAMETERS)),
                 };
                 match self.nc.get_device_option(dev, option) {

@@ -15,25 +15,7 @@ use simcl::status::{CL_INVALID_VALUE, CL_MEM_OBJECT_ALLOCATION_FAILURE, CL_SUCCE
 use simcl::types::*;
 use simcl::{ClApi, ClError, SimCl};
 
-/// Info-query parameter codes (mirrors `specs/CL/cl.h`).
-mod code {
-    pub const CL_PLATFORM_VERSION: u32 = 0x0901;
-    pub const CL_PLATFORM_NAME: u32 = 0x0902;
-    pub const CL_PLATFORM_VENDOR: u32 = 0x0903;
-    pub const CL_DEVICE_NAME: u32 = 0x102B;
-    pub const CL_DEVICE_VENDOR: u32 = 0x102C;
-    pub const CL_DEVICE_MAX_COMPUTE_UNITS: u32 = 0x1002;
-    pub const CL_DEVICE_MAX_WORK_GROUP_SIZE: u32 = 0x1004;
-    pub const CL_DEVICE_GLOBAL_MEM_SIZE: u32 = 0x101F;
-    pub const CL_DEVICE_LOCAL_MEM_SIZE: u32 = 0x1023;
-    pub const CL_DEVICE_TYPE_INFO: u32 = 0x1000;
-    pub const CL_PROFILING_COMMAND_QUEUED: u32 = 0x1280;
-    pub const CL_PROFILING_COMMAND_SUBMIT: u32 = 0x1281;
-    pub const CL_PROFILING_COMMAND_START: u32 = 0x1282;
-    pub const CL_PROFILING_COMMAND_END: u32 = 0x1283;
-    pub const CL_DEVICE_TYPE_GPU: u64 = 1 << 2;
-    pub const CL_DEVICE_TYPE_ACCELERATOR: u64 = 1 << 3;
-}
+use crate::specs::cl_code as code;
 
 /// The OpenCL handler bound to one `SimCl` instance.
 pub struct OpenClHandler {

@@ -10,13 +10,7 @@ use simnc::{DeviceOption, GraphOption, MvncApi, NcDevice, NcGraph};
 
 use super::{call_by_id, fn_table};
 
-/// Option codes (mirrors `specs/mvnc/mvnc.h`).
-mod code {
-    pub const MVNC_DONT_BLOCK: i32 = 0;
-    pub const MVNC_TIME_TAKEN: i32 = 1;
-    pub const MVNC_THERMAL_THROTTLE: i32 = 0;
-    pub const MVNC_MAX_EXECUTORS: i32 = 1;
-}
+use crate::specs::mvnc_code as code;
 
 /// Placeholder requesting an out-parameter.
 const WANT: Value = Value::U64(1);

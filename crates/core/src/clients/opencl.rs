@@ -13,26 +13,7 @@ use simcl::ClApi;
 
 use super::{call_by_id, fn_table};
 
-/// Info-query parameter codes (mirrors `specs/CL/cl.h`).
-mod code {
-    pub const CL_PLATFORM_VERSION: u32 = 0x0901;
-    pub const CL_PLATFORM_NAME: u32 = 0x0902;
-    pub const CL_PLATFORM_VENDOR: u32 = 0x0903;
-    pub const CL_DEVICE_NAME: u32 = 0x102B;
-    pub const CL_DEVICE_VENDOR: u32 = 0x102C;
-    pub const CL_DEVICE_MAX_COMPUTE_UNITS: u32 = 0x1002;
-    pub const CL_DEVICE_MAX_WORK_GROUP_SIZE: u32 = 0x1004;
-    pub const CL_DEVICE_GLOBAL_MEM_SIZE: u32 = 0x101F;
-    pub const CL_DEVICE_LOCAL_MEM_SIZE: u32 = 0x1023;
-    pub const CL_DEVICE_TYPE_INFO: u32 = 0x1000;
-    pub const CL_DEVICE_TYPE_GPU: u64 = 1 << 2;
-    pub const CL_DEVICE_TYPE_ACCELERATOR: u64 = 1 << 3;
-    pub const CL_DEVICE_TYPE_ALL: u64 = 0xFFFF_FFFF;
-    pub const CL_PROFILING_COMMAND_QUEUED: u32 = 0x1280;
-    pub const CL_PROFILING_COMMAND_SUBMIT: u32 = 0x1281;
-    pub const CL_PROFILING_COMMAND_START: u32 = 0x1282;
-    pub const CL_PROFILING_COMMAND_END: u32 = 0x1283;
-}
+use crate::specs::cl_code as code;
 
 /// A placeholder that requests an out-parameter without carrying data.
 const WANT: Value = Value::U64(1);

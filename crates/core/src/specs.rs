@@ -21,6 +21,54 @@ pub const MVNC_HEADER: &str = include_str!("../../../specs/mvnc/mvnc.h");
 /// The refined CAvA specification for the NCSDK (`specs/mvnc/mvnc.avaspec`).
 pub const MVNC_SPEC: &str = include_str!("../../../specs/mvnc/mvnc.avaspec");
 
+/// Declares a module of constants that mirror `#define`s of the same name
+/// in a bundled header; the typed client and the binding of one API share
+/// it. Under test, `ALL` lists every constant for the header check.
+macro_rules! header_constants {
+    ($(#[$meta:meta])* $module:ident { $($name:ident: $ty:ty = $value:expr;)* }) => {
+        $(#[$meta])*
+        pub(crate) mod $module {
+            $(pub(crate) const $name: $ty = $value;)*
+
+            #[cfg(test)]
+            pub(crate) const ALL: &[(&str, i64)] = &[$((stringify!($name), $name as i64),)*];
+        }
+    };
+}
+
+header_constants! {
+    /// OpenCL info-query parameter and device-type codes (`specs/CL/cl.h`).
+    cl_code {
+        CL_PLATFORM_VERSION: u32 = 0x0901;
+        CL_PLATFORM_NAME: u32 = 0x0902;
+        CL_PLATFORM_VENDOR: u32 = 0x0903;
+        CL_DEVICE_NAME: u32 = 0x102B;
+        CL_DEVICE_VENDOR: u32 = 0x102C;
+        CL_DEVICE_MAX_COMPUTE_UNITS: u32 = 0x1002;
+        CL_DEVICE_MAX_WORK_GROUP_SIZE: u32 = 0x1004;
+        CL_DEVICE_GLOBAL_MEM_SIZE: u32 = 0x101F;
+        CL_DEVICE_LOCAL_MEM_SIZE: u32 = 0x1023;
+        CL_DEVICE_TYPE_INFO: u32 = 0x1000;
+        CL_DEVICE_TYPE_GPU: u64 = 1 << 2;
+        CL_DEVICE_TYPE_ACCELERATOR: u64 = 1 << 3;
+        CL_DEVICE_TYPE_ALL: u64 = 0xFFFF_FFFF;
+        CL_PROFILING_COMMAND_QUEUED: u32 = 0x1280;
+        CL_PROFILING_COMMAND_SUBMIT: u32 = 0x1281;
+        CL_PROFILING_COMMAND_START: u32 = 0x1282;
+        CL_PROFILING_COMMAND_END: u32 = 0x1283;
+    }
+}
+
+header_constants! {
+    /// NCSDK graph- and device-option codes (`specs/mvnc/mvnc.h`; C `int`).
+    mvnc_code {
+        MVNC_DONT_BLOCK: i32 = 0;
+        MVNC_TIME_TAKEN: i32 = 1;
+        MVNC_THERMAL_THROTTLE: i32 = 0;
+        MVNC_MAX_EXECUTORS: i32 = 1;
+    }
+}
+
 /// Header resolver covering both bundled APIs.
 pub fn resolver() -> MapResolver {
     MapResolver::new()
@@ -59,6 +107,25 @@ mod tests {
         let desc = mvnc_descriptor(LowerOptions::default()).unwrap();
         assert_eq!(desc.api_name, "mvnc");
         assert_eq!(desc.functions.len(), 11);
+    }
+
+    #[test]
+    fn code_tables_match_the_header_defines() {
+        let tables = [
+            (
+                opencl_descriptor(LowerOptions::default()).unwrap(),
+                cl_code::ALL,
+            ),
+            (
+                mvnc_descriptor(LowerOptions::default()).unwrap(),
+                mvnc_code::ALL,
+            ),
+        ];
+        for (desc, table) in tables {
+            for &(name, value) in table {
+                assert_eq!(desc.constants.get(name), Some(&value), "{name}");
+            }
+        }
     }
 
     #[test]

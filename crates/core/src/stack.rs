@@ -22,8 +22,8 @@ use ava_server::{
 };
 use ava_spec::{ApiDescriptor, FunctionDesc};
 use ava_telemetry::{
-    pack_slots, Counter, EventKind, Gauge, Registry, SloConfig, SloMonitor, SloSubject,
-    SloViolation, Telemetry, Tier,
+    metric_set, pack_slots, EventKind, Gauge, MetricSet, Registry, SloConfig, SloMonitor,
+    SloSubject, SloViolation, Telemetry, Tier,
 };
 use ava_transport::{CostModel, FaultPlan, Transport, TransportError, TransportKind};
 use ava_wire::{ControlMessage, Message, Value, VmId};
@@ -213,42 +213,21 @@ impl Default for StackConfig {
     }
 }
 
-/// Crash-recovery statistics for the whole stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// API servers respawned after a crash.
-    pub respawns: u64,
-    /// Journaled calls re-executed to rebuild crashed servers.
-    pub replayed_calls: u64,
-    /// Recoveries abandoned (respawn budget exhausted or the router is
-    /// gone); the VM was marked unavailable.
-    pub failed: u64,
-}
-
-/// Shared-storage counters behind [`RecoveryStats`]; registered into the
-/// telemetry registry as `recovery.*`. They live at stack level — not on
-/// the [`ApiServer`] — precisely because they must survive the servers
-/// they describe.
-#[derive(Default)]
-struct RecoveryCounters {
-    respawns: Counter,
-    replayed_calls: Counter,
-    failed: Counter,
-}
-
-impl RecoveryCounters {
-    fn register(&self, registry: &Registry) {
-        registry.register_counter("recovery.respawns", &self.respawns);
-        registry.register_counter("recovery.replayed_calls", &self.replayed_calls);
-        registry.register_counter("recovery.failed", &self.failed);
-    }
-
-    fn stats(&self) -> RecoveryStats {
-        RecoveryStats {
-            respawns: self.respawns.get(),
-            replayed_calls: self.replayed_calls.get(),
-            failed: self.failed.get(),
-        }
+metric_set! {
+    /// Crash-recovery statistics for the whole stack.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RecoveryStats;
+    /// Registered into the telemetry registry as `recovery.*`. They live at
+    /// stack level — not on the [`ApiServer`] — precisely because they must
+    /// survive the servers they describe.
+    struct RecoveryCounters {
+        /// API servers respawned after a crash.
+        respawns: Counter,
+        /// Journaled calls re-executed to rebuild crashed servers.
+        replayed_calls: Counter,
+        /// Recoveries abandoned (respawn budget exhausted or the router is
+        /// gone); the VM was marked unavailable.
+        failed: Counter,
     }
 }
 
@@ -1123,7 +1102,7 @@ impl ApiStack {
     /// guest/server/transport instrumentation for each VM attached from now
     /// on. Call before [`ApiStack::attach_vm`].
     pub fn set_telemetry(&self, registry: Registry) -> Result<()> {
-        self.core.recovery.register(&registry);
+        self.core.recovery.register(&registry, "recovery");
         if let Some(pool) = &self.core.pool {
             pool.register(&registry);
         }
@@ -1418,7 +1397,7 @@ impl ApiStack {
     /// Crash-recovery statistics (respawns, replayed calls, abandoned
     /// recoveries) for the whole stack.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.core.recovery.stats()
+        self.core.recovery.snapshot()
     }
 
     /// A snapshot of a VM's execution journal. Its call ids being unique

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ava_spec::{ApiDescriptor, ElemKind, EvalEnv, FunctionDesc, RetDesc, ScalarKind, Transfer};
-use ava_telemetry::{Counter, EventKind, Histogram, Stage, Telemetry, Tier};
+use ava_telemetry::{metric_set, EventKind, Histogram, Stage, Telemetry, Tier};
 use ava_transport::BoxedTransport;
 use ava_wire::{
     digest64, CallId, CallMode, CallReply, CallRequest, ControlMessage, DigestLru, FnId, Message,
@@ -105,37 +105,6 @@ impl Default for GuestConfig {
     }
 }
 
-/// Counters describing guest-side behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuestStats {
-    /// Calls forwarded synchronously.
-    pub sync_calls: u64,
-    /// Calls forwarded asynchronously.
-    pub async_calls: u64,
-    /// Transport crossings saved by batching.
-    pub batched_calls: u64,
-    /// Call-carrying wire frames handed to the transport (each one is a
-    /// doorbell ring; retries and cache-miss resends are not counted).
-    pub doorbells: u64,
-    /// Deferred errors delivered on later synchronous calls.
-    pub deferred_errors_delivered: u64,
-    /// Buffer arguments elided by the transfer cache.
-    pub payload_cache_hits: u64,
-    /// `CacheMiss` NACKs that forced a full resend.
-    pub payload_cache_misses: u64,
-    /// Payload bytes that never crossed the transport thanks to elision.
-    pub bytes_elided: u64,
-    /// Calls resent after a reply deadline or transient send failure.
-    pub retries: u64,
-    /// Calls abandoned with [`GuestError::DeadlineExceeded`].
-    pub deadline_exceeded: u64,
-    /// `Overloaded` replies observed (sync and async): calls the stack
-    /// shed under overload protection. Retries that later succeed still
-    /// count each shed reply, so this reconciles against the router's
-    /// shed counters, not against surfaced errors.
-    pub overloaded: u64,
-}
-
 /// Bookkeeping for an async call whose reply has not been consumed yet.
 struct PendingCall {
     call_id: CallId,
@@ -164,67 +133,37 @@ struct Inner {
     tx_cache: DigestLru<()>,
 }
 
-/// Registry-shareable storage behind [`GuestStats`].
-#[derive(Default)]
-struct GuestCounters {
-    sync_calls: Counter,
-    async_calls: Counter,
-    batched_calls: Counter,
-    doorbells: Counter,
-    deferred_errors_delivered: Counter,
-    payload_cache_hits: Counter,
-    payload_cache_misses: Counter,
-    bytes_elided: Counter,
-    retries: Counter,
-    deadline_exceeded: Counter,
-    overloaded: Counter,
-}
-
-impl GuestCounters {
-    fn snapshot(&self) -> GuestStats {
-        GuestStats {
-            sync_calls: self.sync_calls.get(),
-            async_calls: self.async_calls.get(),
-            batched_calls: self.batched_calls.get(),
-            doorbells: self.doorbells.get(),
-            deferred_errors_delivered: self.deferred_errors_delivered.get(),
-            payload_cache_hits: self.payload_cache_hits.get(),
-            payload_cache_misses: self.payload_cache_misses.get(),
-            bytes_elided: self.bytes_elided.get(),
-            retries: self.retries.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            overloaded: self.overloaded.get(),
-        }
-    }
-
-    fn register_into(&self, telemetry: &Telemetry) {
-        let Some(registry) = telemetry.registry() else {
-            return;
-        };
-        let vm = telemetry.vm();
-        registry.register_counter(&format!("guest.vm{vm}.sync_calls"), &self.sync_calls);
-        registry.register_counter(&format!("guest.vm{vm}.async_calls"), &self.async_calls);
-        registry.register_counter(&format!("guest.vm{vm}.batched_calls"), &self.batched_calls);
-        registry.register_counter(&format!("guest.vm{vm}.doorbells"), &self.doorbells);
-        registry.register_counter(
-            &format!("guest.vm{vm}.deferred_errors_delivered"),
-            &self.deferred_errors_delivered,
-        );
-        registry.register_counter(
-            &format!("guest.vm{vm}.payload_cache_hits"),
-            &self.payload_cache_hits,
-        );
-        registry.register_counter(
-            &format!("guest.vm{vm}.payload_cache_misses"),
-            &self.payload_cache_misses,
-        );
-        registry.register_counter(&format!("guest.vm{vm}.bytes_elided"), &self.bytes_elided);
-        registry.register_counter(&format!("guest.vm{vm}.retries"), &self.retries);
-        registry.register_counter(
-            &format!("guest.vm{vm}.deadline_exceeded"),
-            &self.deadline_exceeded,
-        );
-        registry.register_counter(&format!("guest.vm{vm}.overloaded"), &self.overloaded);
+metric_set! {
+    /// Counters describing guest-side behaviour.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct GuestStats;
+    struct GuestCounters {
+        /// Calls forwarded synchronously.
+        sync_calls: Counter,
+        /// Calls forwarded asynchronously.
+        async_calls: Counter,
+        /// Transport crossings saved by batching.
+        batched_calls: Counter,
+        /// Call-carrying wire frames handed to the transport (each one is a
+        /// doorbell ring; retries and cache-miss resends are not counted).
+        doorbells: Counter,
+        /// Deferred errors delivered on later synchronous calls.
+        deferred_errors_delivered: Counter,
+        /// Buffer arguments elided by the transfer cache.
+        payload_cache_hits: Counter,
+        /// `CacheMiss` NACKs that forced a full resend.
+        payload_cache_misses: Counter,
+        /// Payload bytes that never crossed the transport thanks to elision.
+        bytes_elided: Counter,
+        /// Calls resent after a reply deadline or transient send failure.
+        retries: Counter,
+        /// Calls abandoned with [`GuestError::DeadlineExceeded`].
+        deadline_exceeded: Counter,
+        /// `Overloaded` replies observed (sync and async): calls the stack
+        /// shed under overload protection. Retries that later succeed still
+        /// count each shed reply, so this reconciles against the router's
+        /// shed counters, not against surfaced errors.
+        overloaded: Counter,
     }
 }
 
@@ -278,7 +217,7 @@ impl GuestLibrary {
     /// the library; the attached endpoint's transport counters are
     /// registered by the stack that owns it.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.counters.register_into(&telemetry);
+        telemetry.register_vm("guest", &self.counters);
         self.e2e_hist = telemetry
             .registry()
             .map(|r| r.histogram(&format!("guest.vm{}.e2e_ns", telemetry.vm())));

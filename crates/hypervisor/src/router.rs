@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ava_spec::ApiDescriptor;
-use ava_telemetry::{Counter, Gauge, Stage, Telemetry};
+use ava_telemetry::{metric_set, Counter, Gauge, MetricSet, Stage, Telemetry};
 use ava_transport::{BoxedTransport, TransportError};
 use ava_wire::{CallMode, CallReply, CallRequest, ControlMessage, Message, ReplyStatus, VmId};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
@@ -20,125 +20,53 @@ use crate::policy::{BreakerConfig, BreakerState, CircuitBreaker, SchedulerKind, 
 use ava_telemetry::EventKind;
 use ava_telemetry::Tier;
 
-/// Per-VM counters exposed by the router.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VmStats {
-    /// Calls forwarded to the API server.
-    pub forwarded: u64,
-    /// Calls rejected by policy.
-    pub rejected: u64,
-    /// Replies returned to the guest.
-    pub replies: u64,
-    /// Guest→host payload bytes seen.
-    pub bytes_in: u64,
-    /// Host→guest payload bytes seen.
-    pub bytes_out: u64,
-    /// Guest→host payload bytes that never crossed the transport because
-    /// the transfer cache elided them (`bytes_in` counts only what moved,
-    /// so interposition-level accounting stays truthful).
-    pub bytes_elided: u64,
-    /// Buffer arguments that arrived as `CachedBytes` digests.
-    pub cache_hits: u64,
-    /// `CacheMiss` NACKs relayed back to the guest.
-    pub cache_misses: u64,
-    /// Estimated device time consumed, in microseconds (from the spec's
-    /// `resource(device_time_us, ...)` annotations).
-    pub est_device_time_us: f64,
-    /// Estimated device memory allocated, in bytes (cumulative; §4.3's
-    /// usage approximations are deliberately coarse).
-    pub est_device_mem: f64,
-    /// Calls currently forwarded but not yet answered.
-    pub outstanding: u64,
-    /// Sync calls answered with [`ReplyStatus::Unavailable`] because the
-    /// lane's server is permanently gone.
-    pub unavailable_replies: u64,
-    /// Calls shed at admission (queue-depth limit, open breaker, or
-    /// brownout) with an [`ReplyStatus::Overloaded`] reply.
-    pub shed: u64,
-    /// Queued calls dropped at dequeue because their deadline budget
-    /// expired while waiting.
-    pub deadline_drops: u64,
-    /// Queued calls dropped at dequeue for exceeding the queue-age limit.
-    pub age_drops: u64,
-    /// Times this lane's circuit breaker opened.
-    pub breaker_opens: u64,
-}
-
-/// Registry-shareable storage behind [`VmStats`]: the router mutates these
-/// shared atomics, and a telemetry [`ava_telemetry::Registry`] (when
-/// attached) sees the very same cells under `router.vm<N>.*` names.
-#[derive(Default)]
-struct VmMetrics {
-    forwarded: Counter,
-    rejected: Counter,
-    replies: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    bytes_elided: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    outstanding: Counter,
-    unavailable_replies: Counter,
-    shed: Counter,
-    deadline_drops: Counter,
-    age_drops: Counter,
-    breaker_opens: Counter,
-    est_device_time_us: Gauge,
-    est_device_mem: Gauge,
-}
-
-impl VmMetrics {
-    fn snapshot(&self) -> VmStats {
-        VmStats {
-            forwarded: self.forwarded.get(),
-            rejected: self.rejected.get(),
-            replies: self.replies.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            bytes_elided: self.bytes_elided.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            est_device_time_us: self.est_device_time_us.get(),
-            est_device_mem: self.est_device_mem.get(),
-            outstanding: self.outstanding.get(),
-            unavailable_replies: self.unavailable_replies.get(),
-            shed: self.shed.get(),
-            deadline_drops: self.deadline_drops.get(),
-            age_drops: self.age_drops.get(),
-            breaker_opens: self.breaker_opens.get(),
-        }
-    }
-
-    fn register_into(&self, telemetry: &Telemetry) {
-        let Some(registry) = telemetry.registry() else {
-            return;
-        };
-        let vm = telemetry.vm();
-        let c = |name: &str, cell: &Counter| {
-            registry.register_counter(&format!("router.vm{vm}.{name}"), cell);
-        };
-        c("forwarded", &self.forwarded);
-        c("rejected", &self.rejected);
-        c("replies", &self.replies);
-        c("bytes_in", &self.bytes_in);
-        c("bytes_out", &self.bytes_out);
-        c("bytes_elided", &self.bytes_elided);
-        c("cache_hits", &self.cache_hits);
-        c("cache_misses", &self.cache_misses);
-        c("outstanding", &self.outstanding);
-        c("unavailable_replies", &self.unavailable_replies);
-        c("shed", &self.shed);
-        c("deadline_drops", &self.deadline_drops);
-        c("age_drops", &self.age_drops);
-        c("breaker_opens", &self.breaker_opens);
-        registry.register_gauge(
-            &format!("router.vm{vm}.est_device_time_us"),
-            &self.est_device_time_us,
-        );
-        registry.register_gauge(
-            &format!("router.vm{vm}.est_device_mem"),
-            &self.est_device_mem,
-        );
+metric_set! {
+    /// Per-VM counters exposed by the router.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct VmStats;
+    /// The router mutates these shared atomics, and a telemetry
+    /// [`ava_telemetry::Registry`] (when attached) sees the very same cells
+    /// under `router.vm<N>.*` names.
+    struct VmMetrics {
+        /// Calls forwarded to the API server.
+        forwarded: Counter,
+        /// Calls rejected by policy.
+        rejected: Counter,
+        /// Replies returned to the guest.
+        replies: Counter,
+        /// Guest→host payload bytes seen.
+        bytes_in: Counter,
+        /// Host→guest payload bytes seen.
+        bytes_out: Counter,
+        /// Guest→host payload bytes that never crossed the transport because
+        /// the transfer cache elided them (`bytes_in` counts only what moved,
+        /// so interposition-level accounting stays truthful).
+        bytes_elided: Counter,
+        /// Buffer arguments that arrived as `CachedBytes` digests.
+        cache_hits: Counter,
+        /// `CacheMiss` NACKs relayed back to the guest.
+        cache_misses: Counter,
+        /// Estimated device time consumed, in microseconds (from the spec's
+        /// `resource(device_time_us, ...)` annotations).
+        est_device_time_us: Gauge,
+        /// Estimated device memory allocated, in bytes (cumulative; §4.3's
+        /// usage approximations are deliberately coarse).
+        est_device_mem: Gauge,
+        /// Calls currently forwarded but not yet answered.
+        outstanding: Counter,
+        /// Sync calls answered with [`ReplyStatus::Unavailable`] because the
+        /// lane's server is permanently gone.
+        unavailable_replies: Counter,
+        /// Calls shed at admission (queue-depth limit, open breaker, or
+        /// brownout) with an [`ReplyStatus::Overloaded`] reply.
+        shed: Counter,
+        /// Queued calls dropped at dequeue because their deadline budget
+        /// expired while waiting.
+        deadline_drops: Counter,
+        /// Queued calls dropped at dequeue for exceeding the queue-age limit.
+        age_drops: Counter,
+        /// Times this lane's circuit breaker opened.
+        breaker_opens: Counter,
     }
 }
 
@@ -281,27 +209,15 @@ impl SlotTable {
     }
 }
 
-/// Aggregate overload counters, registered as `overload.*` so operators
-/// see stack-wide shedding without summing per-VM cells.
-#[derive(Default)]
-struct OverloadMetrics {
-    sheds: Counter,
-    deadline_drops: Counter,
-    age_drops: Counter,
-    breaker_opens: Counter,
-    brownout_stage: Gauge,
-}
-
-impl OverloadMetrics {
-    fn register_into(&self, telemetry: &Telemetry) {
-        let Some(registry) = telemetry.registry() else {
-            return;
-        };
-        registry.register_counter("overload.sheds", &self.sheds);
-        registry.register_counter("overload.deadline_drops", &self.deadline_drops);
-        registry.register_counter("overload.age_drops", &self.age_drops);
-        registry.register_counter("overload.breaker_opens", &self.breaker_opens);
-        registry.register_gauge("overload.brownout_stage", &self.brownout_stage);
+metric_set! {
+    /// Aggregate overload counters, registered as `overload.*` so operators
+    /// see stack-wide shedding without summing per-VM cells.
+    struct OverloadMetrics {
+        sheds: Counter,
+        deadline_drops: Counter,
+        age_drops: Counter,
+        breaker_opens: Counter,
+        brownout_stage: Gauge,
     }
 }
 
@@ -439,7 +355,7 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                 } => {
                     let metrics = VmMetrics::default();
                     let lane_telemetry = telemetry.with_vm(vm_id);
-                    metrics.register_into(&lane_telemetry);
+                    lane_telemetry.register_vm("router", &metrics);
                     if let Some(s) = slot {
                         // Materialize the slot entry (and its gauge) up
                         // front so an idle slot still reads zero.
@@ -550,10 +466,12 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                     telemetry = t;
                     for lane in lanes.iter_mut() {
                         lane.telemetry = telemetry.with_vm(lane.vm_id);
-                        lane.metrics.register_into(&lane.telemetry);
+                        lane.telemetry.register_vm("router", &lane.metrics);
                     }
                     slots.register_all(&telemetry);
-                    overload.register_into(&telemetry);
+                    if let Some(registry) = telemetry.registry() {
+                        overload.register(registry, "overload");
+                    }
                 }
                 RouterCmd::Shutdown => return,
             }

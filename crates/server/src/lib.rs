@@ -278,9 +278,9 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         server.handle_call(call(&desc, "toy_init", vec![Value::U32(0)]));
         let h = create_buf(&mut server, &desc, 32);
         write_buf(&mut server, &desc, h, b"x");
-        assert_eq!(server.stats().recorded, 3); // init + create + write
+        assert_eq!(server.recorded_calls(), 3); // init + create + write
         server.handle_call(call(&desc, "toy_destroy", vec![Value::Handle(h)]));
-        assert_eq!(server.stats().recorded, 1); // only config stays
+        assert_eq!(server.recorded_calls(), 1); // only config stays
     }
 
     #[test]
@@ -866,7 +866,7 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert_eq!(dup[0], first[0]);
         assert_eq!(server.stats().calls, 1, "the create ran exactly once");
         assert_eq!(server.stats().duplicates_suppressed, 1);
-        assert_eq!(server.stats().recorded, 1, "one alloc record, not two");
+        assert_eq!(server.recorded_calls(), 1, "one alloc record, not two");
     }
 
     #[test]

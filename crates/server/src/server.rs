@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use ava_spec::{
     ApiDescriptor, Direction, ElemKind, FunctionDesc, RecordCategory, RetDesc, Transfer,
 };
-use ava_telemetry::{Counter, EventKind, Histogram, IntMap, Stage, Telemetry, Tier};
+use ava_telemetry::{metric_set, EventKind, Histogram, IntMap, Stage, Telemetry, Tier};
 use ava_transport::{Transport, TransportError};
 use ava_wire::{
     digest64, CallId, CallMode, CallReply, CallRequest, ControlMessage, DigestLru, Message,
@@ -33,83 +33,36 @@ use crate::record::{CallJournal, JournalEntry, MigrationImage, RecordLog};
 /// most recent executions; 64 leaves generous slack for batched traffic.
 const REPLY_CACHE_CAP: usize = 64;
 
-/// Server execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Calls executed.
-    pub calls: u64,
-    /// Calls that failed at the transport level.
-    pub transport_errors: u64,
-    /// Objects swapped out.
-    pub swap_outs: u64,
-    /// Objects swapped back in.
-    pub swap_ins: u64,
-    /// Calls currently recorded for migration.
-    pub recorded: u64,
-    /// Buffer arguments rematerialized from the payload cache.
-    pub payload_cache_hits: u64,
-    /// `CacheMiss` NACKs sent (each forces a full guest resend).
-    pub payload_cache_misses: u64,
-    /// Duplicate call frames whose re-execution was suppressed (guest
-    /// retries and transport-duplicated frames answered from the reply
-    /// cache instead of running twice).
-    pub duplicates_suppressed: u64,
-    /// Allocations refused for exceeding the VM's device-memory quota
-    /// (each answered with a clean `QuotaExceeded` reply, not executed).
-    pub quota_rejects: u64,
-    /// Calls discarded unexecuted because their deadline budget lapsed
-    /// before dispatch (in transit, or behind earlier members of the same
-    /// batch). Discards never advance the at-most-once highwater mark and
-    /// never reach the journal, so a guest retry with a fresh budget
-    /// executes instead of being dedup-dropped.
-    pub expired_discards: u64,
-}
-
-/// Registry-shareable storage behind [`ServerStats`] (`recorded` is
-/// derived from the record log, not stored).
-#[derive(Default)]
-struct ServerCounters {
-    calls: Counter,
-    transport_errors: Counter,
-    swap_outs: Counter,
-    swap_ins: Counter,
-    payload_cache_hits: Counter,
-    payload_cache_misses: Counter,
-    duplicates_suppressed: Counter,
-    quota_rejects: Counter,
-    expired_discards: Counter,
-}
-
-impl ServerCounters {
-    fn register_into(&self, telemetry: &Telemetry) {
-        let Some(registry) = telemetry.registry() else {
-            return;
-        };
-        let vm = telemetry.vm();
-        registry.register_counter(&format!("server.vm{vm}.calls"), &self.calls);
-        registry.register_counter(
-            &format!("server.vm{vm}.transport_errors"),
-            &self.transport_errors,
-        );
-        registry.register_counter(&format!("server.vm{vm}.swap_outs"), &self.swap_outs);
-        registry.register_counter(&format!("server.vm{vm}.swap_ins"), &self.swap_ins);
-        registry.register_counter(
-            &format!("server.vm{vm}.payload_cache_hits"),
-            &self.payload_cache_hits,
-        );
-        registry.register_counter(
-            &format!("server.vm{vm}.payload_cache_misses"),
-            &self.payload_cache_misses,
-        );
-        registry.register_counter(
-            &format!("server.vm{vm}.duplicates_suppressed"),
-            &self.duplicates_suppressed,
-        );
-        registry.register_counter(&format!("server.vm{vm}.quota_rejects"), &self.quota_rejects);
-        registry.register_counter(
-            &format!("server.vm{vm}.expired_discards"),
-            &self.expired_discards,
-        );
+metric_set! {
+    /// Server execution statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerStats;
+    struct ServerCounters {
+        /// Calls executed.
+        calls: Counter,
+        /// Calls that failed at the transport level.
+        transport_errors: Counter,
+        /// Objects swapped out.
+        swap_outs: Counter,
+        /// Objects swapped back in.
+        swap_ins: Counter,
+        /// Buffer arguments rematerialized from the payload cache.
+        payload_cache_hits: Counter,
+        /// `CacheMiss` NACKs sent (each forces a full guest resend).
+        payload_cache_misses: Counter,
+        /// Duplicate call frames whose re-execution was suppressed (guest
+        /// retries and transport-duplicated frames answered from the reply
+        /// cache instead of running twice).
+        duplicates_suppressed: Counter,
+        /// Allocations refused for exceeding the VM's device-memory quota
+        /// (each answered with a clean `QuotaExceeded` reply, not executed).
+        quota_rejects: Counter,
+        /// Calls discarded unexecuted because their deadline budget lapsed
+        /// before dispatch (in transit, or behind earlier members of the same
+        /// batch). Discards never advance the at-most-once highwater mark and
+        /// never reach the journal, so a guest retry with a fresh budget
+        /// executes instead of being dedup-dropped.
+        expired_discards: Counter,
     }
 }
 
@@ -283,7 +236,7 @@ impl ApiServer {
     /// execute latency lands in `server.execute.<fn>` histograms, and sync
     /// calls get their Executed span stamp.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.counters.register_into(&telemetry);
+        telemetry.register_vm("server", &self.counters);
         self.fn_hists = telemetry
             .registry()
             .map(|r| {
@@ -305,18 +258,12 @@ impl ApiServer {
 
     /// Execution statistics.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            calls: self.counters.calls.get(),
-            transport_errors: self.counters.transport_errors.get(),
-            swap_outs: self.counters.swap_outs.get(),
-            swap_ins: self.counters.swap_ins.get(),
-            recorded: self.records.len() as u64,
-            payload_cache_hits: self.counters.payload_cache_hits.get(),
-            payload_cache_misses: self.counters.payload_cache_misses.get(),
-            duplicates_suppressed: self.counters.duplicates_suppressed.get(),
-            quota_rejects: self.counters.quota_rejects.get(),
-            expired_discards: self.counters.expired_discards.get(),
-        }
+        self.counters.snapshot()
+    }
+
+    /// Calls currently recorded for migration.
+    pub fn recorded_calls(&self) -> usize {
+        self.records.len()
     }
 
     /// Estimated device memory currently live (excludes swapped objects).

@@ -90,18 +90,6 @@ impl Histogram {
             max: inner.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Snapshot-and-reset: returns the accumulated state and zeroes the
-    /// histogram so the next measurement phase starts clean.
-    pub fn take(&self) -> HistogramSnapshot {
-        let inner = &self.inner;
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| inner.buckets[i].swap(0, Ordering::Relaxed)),
-            count: inner.count.swap(0, Ordering::Relaxed),
-            sum: inner.sum.swap(0, Ordering::Relaxed),
-            max: inner.max.swap(0, Ordering::Relaxed),
-        }
-    }
 }
 
 /// A point-in-time copy of a [`Histogram`].
@@ -212,20 +200,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.percentile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn take_resets_state() {
-        let h = Histogram::new();
-        h.record(10);
-        h.record(20);
-        let s = h.take();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 30);
-        let after = h.snapshot();
-        assert_eq!(after.count, 0);
-        assert_eq!(after.sum, 0);
-        assert_eq!(after.max, 0);
-        assert!(after.buckets.iter().all(|&b| b == 0));
     }
 }

@@ -12,6 +12,9 @@
 //!   server-execute segments (the paper's Fig. 5 question — call
 //!   frequency vs. data movement — answered without hand-instrumented
 //!   binaries);
+//! * [`metric_set!`](crate::metric_set!), the one declaration of a
+//!   component's counters and gauges, their registry names and its
+//!   snapshot struct;
 //! * exporters rendering a [`Snapshot`] as an aligned text table or JSON.
 //!
 //! Metric names follow `tier.subsystem.name` (see DESIGN.md
@@ -27,6 +30,7 @@
 pub mod export;
 pub mod hash;
 pub mod histogram;
+pub mod metrics;
 pub mod recorder;
 pub mod registry;
 pub mod slo;
@@ -34,6 +38,7 @@ pub mod span;
 
 pub use hash::{IntHasher, IntMap};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
+pub use metrics::MetricSet;
 pub use recorder::{pack_slots, unpack_slots, Event, EventKind, FlightRecorder, Tier};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
 pub use slo::{SloConfig, SloMonitor, SloObjective, SloSubject, SloViolation};
@@ -137,19 +142,11 @@ impl Telemetry {
         }
     }
 
-    /// Records `nanos` into the histogram `name`.
-    #[inline]
-    pub fn record_hist(&self, name: &str, nanos: u64) {
+    /// Registers `set`'s cells under `{tier}.vm<N>.*`, where `N` is this
+    /// handle's VM; a no-op when disabled.
+    pub fn register_vm(&self, tier: &str, set: &impl MetricSet) {
         if let Some(r) = &self.registry {
-            r.histogram(name).record(nanos);
-        }
-    }
-
-    /// Adds `n` to the counter `name`.
-    #[inline]
-    pub fn count(&self, name: &str, n: u64) {
-        if let Some(r) = &self.registry {
-            r.counter(name).add(n);
+            set.register(r, &format!("{tier}.vm{}", self.vm));
         }
     }
 
@@ -213,13 +210,19 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    metric_set! {
+        struct Counters {
+            sync_calls: Counter,
+        }
+    }
+
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.enabled());
         t.span_stage(1, Stage::GuestStart, Some(0));
-        t.record_hist("x", 5);
-        t.count("y", 1);
+        t.event(Tier::Guest, EventKind::Retry, 1, 0);
+        t.register_vm("guest", &Counters::default());
         assert!(t.report().is_none());
     }
 
@@ -237,9 +240,11 @@ mod tests {
 
     #[test]
     fn report_renders_when_enabled() {
-        let t = Telemetry::new(Registry::new());
-        t.count("guest.calls.sync", 2);
+        let r = Registry::new();
+        let t = Telemetry::new(r.clone()).with_vm(2);
+        t.register_vm("guest", &Counters::default());
+        r.counter("guest.vm2.sync_calls").add(2);
         let report = t.report().unwrap();
-        assert!(report.contains("guest.calls.sync"));
+        assert!(report.contains("guest.vm2.sync_calls"));
     }
 }

@@ -238,19 +238,17 @@ impl FlightRecorder {
         self.ring.lock().expect("recorder poisoned").buf.len()
     }
 
-    /// True if nothing has been recorded (or everything drained).
+    /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Events shed to overwrite since creation (or the last
-    /// [`FlightRecorder::take`]).
+    /// Events shed to overwrite since creation.
     pub fn overwritten(&self) -> u64 {
         self.overwritten.load(Ordering::Relaxed)
     }
 
-    /// Total events recorded since creation (or the last
-    /// [`FlightRecorder::take`]).
+    /// Total events recorded since creation.
     pub fn total_recorded(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
     }
@@ -266,23 +264,6 @@ impl FlightRecorder {
             out.extend_from_slice(&ring.buf);
         }
         out
-    }
-
-    /// Drains the retained events (oldest first) and resets the shed and
-    /// total counters.
-    pub fn take(&self) -> Vec<Event> {
-        let mut ring = self.ring.lock().expect("recorder poisoned");
-        let head = ring.head;
-        let full = ring.buf.len() == self.cap;
-        let mut buf = std::mem::take(&mut ring.buf);
-        ring.head = 0;
-        drop(ring);
-        if full {
-            buf.rotate_left(head);
-        }
-        self.overwritten.store(0, Ordering::Relaxed);
-        self.total.store(0, Ordering::Relaxed);
-        buf
     }
 }
 
@@ -323,21 +304,6 @@ mod tests {
         assert_eq!(got, vec![3, 4, 5, 6], "keeps the most recent tail");
         assert_eq!(r.overwritten(), 3);
         assert_eq!(r.total_recorded(), 7);
-    }
-
-    #[test]
-    fn take_drains_and_resets() {
-        let r = FlightRecorder::new(2);
-        r.record(ev(1));
-        r.record(ev(2));
-        r.record(ev(3));
-        let got: Vec<u64> = r.take().iter().map(|e| e.nanos).collect();
-        assert_eq!(got, vec![2, 3]);
-        assert!(r.is_empty());
-        assert_eq!(r.overwritten(), 0);
-        assert_eq!(r.total_recorded(), 0);
-        r.record(ev(4));
-        assert_eq!(r.events()[0].nanos, 4);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! `tier.subsystem.name` convention (`guest.calls.sync`,
 //! `router.vm1.forwarded`, `server.execute.clFinish`, …).
 //!
-//! Existing per-component counters register their *own* storage into the
-//! registry ([`Registry::register_counter`]), so the component's snapshot
-//! API and the registry read the same atomics — no duplicated bookkeeping.
+//! Components declare their counters and gauges with
+//! [`metric_set!`](crate::metric_set!), which registers the component's
+//! *own* storage into the registry ([`Registry::register_counter`]), so
+//! the component's snapshot API and the registry read the same atomics —
+//! no duplicated bookkeeping.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,11 +102,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.inner.load(Ordering::Relaxed))
-    }
-
-    /// Returns the value and resets to zero.
-    pub fn take(&self) -> f64 {
-        f64::from_bits(self.inner.swap(0f64.to_bits(), Ordering::Relaxed))
     }
 }
 
@@ -224,44 +221,6 @@ impl Registry {
             spans: self.inner.spans.completed(),
             events: self.inner.recorder.events(),
             events_overwritten: self.inner.recorder.overwritten(),
-            spans_dropped: self.inner.spans.dropped(),
-        }
-    }
-
-    /// Snapshot-and-reset: returns the accumulated state and zeroes every
-    /// counter, gauge and histogram and drains the completed spans, so
-    /// benchmarks can measure phases independently. Registered component
-    /// counters (guest/router/server/transport stats) reset too — their
-    /// snapshot views read zero afterwards.
-    pub fn take(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .inner
-                .counters
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.take()))
-                .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.take()))
-                .collect(),
-            histograms: self
-                .inner
-                .histograms
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.take()))
-                .collect(),
-            spans: self.inner.spans.take_completed(),
-            events_overwritten: self.inner.recorder.overwritten(),
-            events: self.inner.recorder.take(),
             spans_dropped: self.inner.spans.dropped(),
         }
     }
@@ -484,33 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn take_zeroes_everything() {
-        let r = Registry::new();
-        r.counter("x").add(9);
-        r.gauge("g").add(1.5);
-        r.histogram("h").record(100);
-        r.spans().stage((0, 1), Stage::Queued, 1, None);
-        r.spans().stage((0, 1), Stage::Replied, 2, None);
-        let snap = r.take();
-        assert_eq!(snap.counters["x"], 9);
-        assert_eq!(snap.gauges["g"], 1.5);
-        assert_eq!(snap.histograms["h"].count, 1);
-        assert_eq!(snap.spans.len(), 1);
-        let after = r.snapshot();
-        assert_eq!(after.counters["x"], 0);
-        assert_eq!(after.gauges["g"], 0.0);
-        assert_eq!(after.histograms["h"].count, 0);
-        assert!(after.spans.is_empty());
-    }
-
-    #[test]
     fn gauge_accumulates_fractions() {
         let g = Gauge::new();
         g.add(0.25);
         g.add(0.5);
         assert!((g.get() - 0.75).abs() < 1e-12);
-        assert!((g.take() - 0.75).abs() < 1e-12);
-        assert_eq!(g.get(), 0.0);
     }
 
     #[test]

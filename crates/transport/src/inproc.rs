@@ -8,6 +8,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ava_telemetry::MetricSet;
 use ava_wire::Message;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
 
@@ -199,7 +200,8 @@ impl Transport for InProcTransport {
     }
 
     fn register_telemetry(&self, registry: &ava_telemetry::Registry, prefix: &str) {
-        self.stats.register_into(registry, prefix);
+        self.stats
+            .register(registry, &format!("transport.{prefix}"));
     }
 }
 

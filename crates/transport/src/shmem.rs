@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ava_telemetry::MetricSet;
 use ava_wire::{Message, WireError};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
@@ -533,7 +534,8 @@ impl Transport for ShmemTransport {
     }
 
     fn register_telemetry(&self, registry: &ava_telemetry::Registry, prefix: &str) {
-        self.stats.register_into(registry, prefix);
+        self.stats
+            .register(registry, &format!("transport.{prefix}"));
     }
 }
 

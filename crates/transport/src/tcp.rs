@@ -17,6 +17,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ava_telemetry::MetricSet;
 use ava_wire::Message;
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use parking_lot::Mutex;
@@ -168,7 +169,8 @@ impl Transport for TcpTransport {
     }
 
     fn register_telemetry(&self, registry: &ava_telemetry::Registry, prefix: &str) {
-        self.stats.register_into(registry, prefix);
+        self.stats
+            .register(registry, &format!("transport.{prefix}"));
     }
 }
 
