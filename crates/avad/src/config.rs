@@ -958,7 +958,6 @@ impl AvadConfig {
                 stage2_burn: b.stage2_burn,
                 max_shed: b.max_shed as usize,
             }),
-            ..StackConfig::default()
         }
     }
 

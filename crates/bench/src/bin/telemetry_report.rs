@@ -38,7 +38,6 @@ fn run_pool_scenario() -> Snapshot {
             payload_cache_entries: 32,
             ..GuestConfig::default()
         },
-        supervision_interval: Duration::from_millis(2),
         rebalance_interval: Duration::from_millis(25),
         slo: Some(SloConfig::p99(1)),
         ..StackConfig::default()

@@ -183,7 +183,6 @@ fn least_loaded_placement_spreads_asymmetric_load() {
 #[test]
 fn load_watchdog_moves_a_vm_off_the_hot_slot() {
     let mut config = pool_config(PlacementPolicy::Packed);
-    config.supervision_interval = Duration::from_millis(2);
     config.rebalance_interval = Duration::from_millis(25);
     config.rebalance_threshold_ms = Some(1.0);
     let stack = Arc::new(opencl_pool_stack(silos(2), config).unwrap());
@@ -237,7 +236,6 @@ fn slo_violation_flips_api_and_watchdog_migrates_off_the_violating_slot() {
     use ava_telemetry::{Registry, SloConfig, SloObjective, SloSubject};
 
     let mut config = pool_config(PlacementPolicy::Packed);
-    config.supervision_interval = Duration::from_millis(2);
     config.rebalance_interval = Duration::from_millis(25);
     // No device-time threshold: any migration must come from the SLO path.
     config.rebalance_threshold_ms = None;

@@ -15,6 +15,7 @@
 pub mod policy;
 pub mod router;
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,12 +31,12 @@ pub use policy::{
 };
 pub use router::{RouterConfig, VmStats};
 
-use router::RouterCmd;
+use router::{RouterCmd, VmMetrics};
 
 /// Error type for hypervisor operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HypervisorError {
-    /// The router thread has stopped.
+    /// The router thread has exited.
     RouterGone,
     /// Transport construction failed.
     Transport(String),
@@ -75,6 +76,10 @@ pub struct Hypervisor {
     handle: Option<std::thread::JoinHandle<()>>,
     next_vm: AtomicU32,
     telemetry: parking_lot::Mutex<ava_telemetry::Telemetry>,
+    /// Each attached lane's counters. The router thread updates the same
+    /// cells, so stats and quiescence are read here directly and never
+    /// wait on the router.
+    lanes: parking_lot::Mutex<HashMap<VmId, VmMetrics>>,
 }
 
 impl Hypervisor {
@@ -101,6 +106,7 @@ impl Hypervisor {
             handle: Some(handle),
             next_vm: AtomicU32::new(1),
             telemetry: parking_lot::Mutex::new(ava_telemetry::Telemetry::disabled()),
+            lanes: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
@@ -177,6 +183,7 @@ impl Hypervisor {
         let (router_server_end, server_end) =
             ava_transport::pair(TransportKind::InProcess, CostModel::free())
                 .map_err(|e| HypervisorError::Transport(e.to_string()))?;
+        let metrics = VmMetrics::default();
         self.cmd_tx
             .send(RouterCmd::AddVm {
                 vm_id,
@@ -184,8 +191,10 @@ impl Hypervisor {
                 server: router_server_end,
                 policy,
                 slot,
+                metrics: Box::new(metrics.clone()),
             })
             .map_err(|_| HypervisorError::RouterGone)?;
+        self.lanes.lock().insert(vm_id, metrics);
         Ok(VmConnection {
             vm_id,
             guest: guest_end,
@@ -255,30 +264,32 @@ impl Hypervisor {
 
     /// Detaches a VM.
     pub fn remove_vm(&self, vm_id: VmId) -> Result<(), HypervisorError> {
+        self.lanes.lock().remove(&vm_id);
         self.cmd_tx
             .send(RouterCmd::Remove(vm_id))
             .map_err(|_| HypervisorError::RouterGone)
     }
 
-    /// Snapshot of a VM's router statistics.
+    /// Snapshot of a VM's router statistics, read from the lane's cells
+    /// without a round trip through the router thread.
     pub fn vm_stats(&self, vm_id: VmId) -> Result<VmStats, HypervisorError> {
-        let (tx, rx) = unbounded();
-        self.cmd_tx
-            .send(RouterCmd::Stats(vm_id, tx))
-            .map_err(|_| HypervisorError::RouterGone)?;
-        rx.recv_timeout(Duration::from_secs(5))
-            .map_err(|_| HypervisorError::RouterGone)?
+        self.lanes
+            .lock()
+            .get(&vm_id)
+            .map(VmMetrics::snapshot)
             .ok_or(HypervisorError::UnknownVm(vm_id))
     }
 
     /// Waits until a paused VM has no outstanding forwarded calls — the
     /// quiescence point at which the server's state can be snapshotted for
-    /// migration (§4.3).
+    /// migration (§4.3). Reads the lane's `outstanding` cell, so a router
+    /// busy elsewhere cannot stall it. A call the router forwards before
+    /// it applies the pause still reaches the VM's server channel, which a
+    /// relocation keeps: the rebuilt server executes it.
     pub fn wait_quiescent(&self, vm_id: VmId, timeout: Duration) -> Result<(), HypervisorError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let stats = self.vm_stats(vm_id)?;
-            if stats.outstanding == 0 {
+            if self.vm_stats(vm_id)?.outstanding == 0 {
                 return Ok(());
             }
             if Instant::now() >= deadline {
@@ -388,6 +399,50 @@ mod tests {
         assert_eq!(stats.forwarded, 50);
         assert_eq!(stats.replies, 50);
         assert_eq!(stats.outstanding, 0);
+        conn.guest
+            .send(&Message::Control(ControlMessage::Shutdown))
+            .unwrap();
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn stats_and_quiescence_never_wait_on_the_router() {
+        let hv = Hypervisor::new(SchedulerKind::Fifo, None);
+        // The router sleeps in every send to the guest: each reply holds
+        // the router thread for `hold`.
+        let hold = Duration::from_secs(1);
+        let replies = FaultPlan {
+            delay_rate: 1.0,
+            delay: hold,
+            ..FaultPlan::quiet(1)
+        };
+        let conn = hv
+            .add_vm_with_faults(
+                VmPolicy::default(),
+                TransportKind::InProcess,
+                CostModel::free(),
+                None,
+                Some(replies),
+            )
+            .unwrap();
+        let echo = spawn_echo(conn.server);
+        conn.guest.send(&call(1)).unwrap();
+        // Time for the router to take the echo's reply and fall asleep
+        // sending it on.
+        std::thread::sleep(hold / 10);
+
+        let asked = Instant::now();
+        let stats = hv.vm_stats(conn.vm_id).unwrap();
+        hv.pause_vm(conn.vm_id).unwrap();
+        hv.wait_quiescent(conn.vm_id, 2 * hold).unwrap();
+        let answered = asked.elapsed();
+        assert!(answered < hold / 10, "answered after {answered:?}");
+        // The router really was held: the reply has not reached the guest.
+        assert!(conn.guest.try_recv().unwrap().is_none());
+        assert_eq!((stats.replies, stats.outstanding), (1, 0));
+        assert!(matches!(conn.guest.recv().unwrap(), Message::Reply(_)));
+
+        hv.resume_vm(conn.vm_id).unwrap();
         conn.guest
             .send(&Message::Control(ControlMessage::Shutdown))
             .unwrap();

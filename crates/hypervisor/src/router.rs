@@ -14,7 +14,7 @@ use ava_spec::ApiDescriptor;
 use ava_telemetry::{metric_set, Counter, Gauge, MetricSet, Stage, Telemetry};
 use ava_transport::{BoxedTransport, TransportError};
 use ava_wire::{CallMode, CallReply, CallRequest, ControlMessage, Message, ReplyStatus, VmId};
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, TryRecvError};
 
 use crate::policy::{BreakerConfig, BreakerState, CircuitBreaker, SchedulerKind, VmPolicy};
 use ava_telemetry::EventKind;
@@ -24,10 +24,14 @@ metric_set! {
     /// Per-VM counters exposed by the router.
     #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct VmStats;
-    /// The router mutates these shared atomics, and a telemetry
-    /// [`ava_telemetry::Registry`] (when attached) sees the very same cells
-    /// under `router.vm<N>.*` names.
-    struct VmMetrics {
+    /// The router mutates these shared atomics; the [`Hypervisor`] reads
+    /// the very same cells for stats and quiescence, and a telemetry
+    /// [`ava_telemetry::Registry`] (when attached) under `router.vm<N>.*`
+    /// names.
+    ///
+    /// [`Hypervisor`]: crate::Hypervisor
+    #[derive(Clone)]
+    pub(crate) struct VmMetrics {
         /// Calls forwarded to the API server.
         forwarded: Counter,
         /// Calls rejected by policy.
@@ -71,7 +75,7 @@ metric_set! {
 }
 
 /// Commands sent to the router thread.
-pub enum RouterCmd {
+pub(crate) enum RouterCmd {
     /// Attach a VM: its guest-side and server-side transports plus policy.
     AddVm {
         /// VM identifier.
@@ -86,6 +90,8 @@ pub enum RouterCmd {
         /// runs a shared pool. Lanes on the same slot share the slot's
         /// in-flight budget ([`RouterConfig::slot_inflight`]).
         slot: Option<usize>,
+        /// The lane's counters, shared with the hypervisor.
+        metrics: Box<VmMetrics>,
     },
     /// Stop forwarding guest→server traffic for a VM (replies still pump).
     Pause(VmId),
@@ -128,8 +134,6 @@ pub enum RouterCmd {
         /// VMs whose traffic is shed at this stage.
         shed: Vec<VmId>,
     },
-    /// Query statistics.
-    Stats(VmId, Sender<Option<VmStats>>),
     /// Attach a telemetry registry: per-VM counters register under
     /// `router.vm<N>.*` and sync calls get Queued/Forwarded/Replied span
     /// stamps. Applies to existing lanes and any added later.
@@ -317,7 +321,7 @@ impl Default for RouterConfig {
 }
 
 /// Runs the router loop until [`RouterCmd::Shutdown`].
-pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
+pub(crate) fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
     let mut lanes: Vec<Lane> = Vec::new();
     let mut telemetry = Telemetry::disabled();
     let mut rr_cursor = 0usize; // round-robin start position
@@ -352,8 +356,9 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                     server,
                     policy,
                     slot,
+                    metrics,
                 } => {
-                    let metrics = VmMetrics::default();
+                    let metrics = *metrics;
                     let lane_telemetry = telemetry.with_vm(vm_id);
                     lane_telemetry.register_vm("router", &metrics);
                     if let Some(s) = slot {
@@ -454,13 +459,6 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
                         }
                         lane.brownout_shed = shed_now;
                     }
-                }
-                RouterCmd::Stats(id, reply) => {
-                    let stats = lanes
-                        .iter()
-                        .find(|l| l.vm_id == id)
-                        .map(|l| l.metrics.snapshot());
-                    let _ = reply.send(stats);
                 }
                 RouterCmd::SetTelemetry(t) => {
                     telemetry = t;
@@ -701,40 +699,47 @@ pub fn run_router(config: RouterConfig, cmds: Receiver<RouterCmd>) {
             } else {
                 Message::Batch(outgoing)
             };
+            // Count before the send, for the same reason: stats and
+            // quiescence read these cells from other threads, and must
+            // never see a call executed that the lane has not counted as
+            // forwarded (and, if sync, outstanding). Async calls are
+            // fire-and-forget: the server only replies on failure, so they
+            // are not tracked as outstanding.
+            lane.metrics.forwarded.add(n);
+            lane.metrics.outstanding.add(sync_count);
+            if let Some(s) = lane.slot {
+                slots.entry(s, &telemetry).outstanding.add(sync_count);
+            }
             // The run is moved, not cloned: the in-process hop to the
             // server hands the very allocation over.
-            match lane.server.send_owned(msg) {
-                Ok(()) => {
-                    lane.metrics.forwarded.add(n);
-                    // Async calls are fire-and-forget: the server only
-                    // replies on failure, so they are not tracked as
-                    // outstanding.
-                    lane.metrics.outstanding.add(sync_count);
-                    if let Some(s) = lane.slot {
-                        slots.entry(s, &telemetry).outstanding.add(sync_count);
-                    }
+            if let Err((_, msg)) = lane.server.send_owned(msg) {
+                // The run never reached the server: take back its
+                // counts, requeue it at the front in order (nothing
+                // newer was forwarded, so order is preserved) and
+                // suspend the lane for the supervisor to reattach or
+                // fail it.
+                for _ in 0..n {
+                    lane.metrics.forwarded.dec_saturating();
                 }
-                Err((_, msg)) => {
-                    // The run never reached the server: requeue it at the
-                    // front in order (nothing newer was forwarded, so
-                    // order is preserved) and suspend the lane for the
-                    // supervisor to reattach or fail it.
-                    lane.server_down = true;
-                    let reqs = match msg {
-                        Message::Call(req) => vec![req],
-                        Message::Batch(reqs) => reqs,
-                        _ => unreachable!("runs are Call or Batch frames"),
-                    };
-                    // The dequeue already deducted queue wait from each
-                    // call's budget, so restarting the wait clock here
-                    // keeps budget accounting consistent.
-                    for req in reqs.into_iter().rev() {
-                        slots.add_depth(lane.slot, 1.0, &telemetry);
-                        lane.queue.push_front(QueuedCall {
-                            req,
-                            enqueued_at: Instant::now(),
-                        });
-                    }
+                for _ in 0..sync_count {
+                    lane.metrics.outstanding.dec_saturating();
+                }
+                slots.release_outstanding(lane.slot, sync_count, &telemetry);
+                lane.server_down = true;
+                let reqs = match msg {
+                    Message::Call(req) => vec![req],
+                    Message::Batch(reqs) => reqs,
+                    _ => unreachable!("runs are Call or Batch frames"),
+                };
+                // The dequeue already deducted queue wait from each
+                // call's budget, so restarting the wait clock here
+                // keeps budget accounting consistent.
+                for req in reqs.into_iter().rev() {
+                    slots.add_depth(lane.slot, 1.0, &telemetry);
+                    lane.queue.push_front(QueuedCall {
+                        req,
+                        enqueued_at: Instant::now(),
+                    });
                 }
             }
         }

@@ -133,53 +133,73 @@ pub struct JournalEntry {
     pub reply: CallReply,
 }
 
-/// The complete execution journal for one VM's API server.
+/// One VM's recoverable state: a base image plus every call executed on
+/// top of it.
 ///
-/// Unlike the [`RecordLog`] — which holds only `record`-annotated calls and
-/// backs *planned* reconstruction (migration, swap-in) where device buffers
-/// can still be snapshotted — the journal holds *every* executed call, so a
-/// crashed server can be rebuilt by replay alone: after a crash there is no
-/// opportunity to snapshot buffers, and kernel launches or writes that
-/// mutated device state must be re-run, not restored. The supervisor owns
-/// the journal, behind a mutex, because it must survive the server process
-/// it describes.
+/// The base is a [`MigrationImage`]: empty when the VM attaches, and
+/// replaced by the image every planned move takes ([`CallJournal::rebase`]).
+/// The suffix holds *every* call executed since — not just the
+/// `record`-annotated ones the [`RecordLog`] keeps — because after a crash
+/// there is no chance to snapshot buffers, and kernel launches or writes
+/// that mutated device state must be re-run, not restored. Any server for
+/// the VM is built the same way: restore the base, replay the suffix. The
+/// supervisor owns the journal, behind a mutex, because it must survive
+/// the server process it describes.
 #[derive(Debug, Default, Clone)]
 pub struct CallJournal {
+    base: MigrationImage,
     entries: Vec<JournalEntry>,
 }
 
 impl CallJournal {
-    /// Creates an empty journal.
+    /// Creates a journal with an empty base and an empty suffix.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends one executed call.
+    /// Appends one executed call to the suffix.
     pub fn record(&mut self, request: CallRequest, reply: CallReply) {
         self.entries.push(JournalEntry { request, reply });
     }
 
-    /// All entries in execution (and therefore replay) order.
+    /// Makes `image` the base and clears the suffix: the image already
+    /// holds everything the suffix did.
+    pub fn rebase(&mut self, image: MigrationImage) {
+        self.base = image;
+        self.entries.clear();
+    }
+
+    /// The image the suffix replays on top of.
+    pub fn base(&self) -> &MigrationImage {
+        &self.base
+    }
+
+    /// The suffix, in execution (and therefore replay) order.
     pub fn entries(&self) -> &[JournalEntry] {
         &self.entries
     }
 
-    /// Number of journaled calls.
+    /// Number of calls in the suffix.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when nothing has executed yet.
+    /// True when nothing has executed since the base.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// True when every journaled call id is distinct — the at-most-once
-    /// guarantee made observable: a duplicate frame that slipped past
-    /// dedup and re-executed would journal its call id twice.
+    /// True when every suffix call id is distinct and above the base's
+    /// highwater mark — the at-most-once guarantee made observable: a
+    /// duplicate frame that slipped past dedup and re-executed would
+    /// journal its call id twice, or journal one the base already covers.
     pub fn call_ids_unique(&self) -> bool {
+        let floor = self.base.highwater;
         let mut seen = std::collections::HashSet::new();
-        self.entries.iter().all(|e| seen.insert(e.request.call_id))
+        self.entries.iter().all(|e| {
+            let id = e.request.call_id;
+            floor.is_none_or(|h| id > h) && seen.insert(id)
+        })
     }
 }
 
@@ -233,28 +253,51 @@ mod tests {
         assert!(log.is_empty());
     }
 
-    #[test]
-    fn journal_detects_duplicate_call_ids() {
+    fn executed(journal: &mut CallJournal, id: u64) {
         use ava_wire::{CallMode, ReplyStatus};
-        let req = |id: u64| CallRequest {
+        let request = CallRequest {
             call_id: id,
             fn_id: 0,
             mode: CallMode::Sync,
             args: vec![],
             budget_us: 0,
         };
-        let rep = |id: u64| CallReply {
+        let reply = CallReply {
             call_id: id,
             status: ReplyStatus::Ok,
             ret: Value::Unit,
             outputs: vec![],
         };
+        journal.record(request, reply);
+    }
+
+    #[test]
+    fn journal_detects_duplicate_call_ids() {
         let mut journal = CallJournal::new();
-        journal.record(req(1), rep(1));
-        journal.record(req(2), rep(2));
+        executed(&mut journal, 1);
+        executed(&mut journal, 2);
         assert!(journal.call_ids_unique());
         assert_eq!(journal.len(), 2);
-        journal.record(req(2), rep(2));
+        executed(&mut journal, 2);
+        assert!(!journal.call_ids_unique());
+    }
+
+    #[test]
+    fn rebase_clears_the_suffix_and_its_ids_must_clear_the_base() {
+        let mut journal = CallJournal::new();
+        executed(&mut journal, 1);
+        executed(&mut journal, 2);
+        journal.rebase(MigrationImage {
+            highwater: Some(2),
+            ..MigrationImage::default()
+        });
+        assert!(journal.is_empty());
+        assert_eq!(journal.base().highwater, Some(2));
+        executed(&mut journal, 3);
+        assert!(journal.call_ids_unique());
+        // Re-executing a call the base already covers is a duplicate even
+        // though the suffix never saw it.
+        executed(&mut journal, 2);
         assert!(!journal.call_ids_unique());
     }
 
