@@ -38,7 +38,7 @@ pub use handler::{shared_handler, ApiHandler, HandlerOutput, SharedHandler};
 pub use handles::{HandleEntry, HandleState, HandleTable};
 pub use memory::{MemoryManager, MemoryStats};
 pub use record::{CallJournal, JournalEntry, MigrationImage, RecordLog, RecordedCall};
-pub use server::{ApiServer, ServeExit, ServerStats};
+pub use server::{serve_with, ApiServer, ServerStats};
 
 #[cfg(test)]
 mod tests {
@@ -297,8 +297,12 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         source.teardown();
 
         // "Arrive" on a different host: fresh handler.
-        let mut target =
-            ApiServer::restore(Arc::clone(&desc), Box::new(ToyHandler::new(4096)), &image).unwrap();
+        let mut target = ApiServer::restore_with(
+            Arc::clone(&desc),
+            shared_handler(Box::new(ToyHandler::new(4096))),
+            &image,
+        )
+        .unwrap();
         // The guest's old wire handles still resolve.
         assert_eq!(&read_buf(&mut target, &desc, h1, 8), b"migrate!");
         assert_eq!(&read_buf(&mut target, &desc, h2, 4), b"tiny");
@@ -317,8 +321,12 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert_eq!(image.records.len(), 2);
         assert_eq!(image.buffers.len(), 1);
         assert_eq!(image.buffers[0].1, b"abcd");
-        let mut target =
-            ApiServer::restore(Arc::clone(&desc), Box::new(ToyHandler::new(64)), &image).unwrap();
+        let mut target = ApiServer::restore_with(
+            Arc::clone(&desc),
+            shared_handler(Box::new(ToyHandler::new(64))),
+            &image,
+        )
+        .unwrap();
         assert_eq!(&read_buf(&mut target, &desc, h, 4), b"abcd");
     }
 
@@ -547,8 +555,12 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         write_buf(&mut source, &desc, h1, b"carried");
         let image = source.snapshot();
         source.teardown();
-        let mut target =
-            ApiServer::restore(Arc::clone(&desc), Box::new(ToyHandler::new(4096)), &image).unwrap();
+        let mut target = ApiServer::restore_with(
+            Arc::clone(&desc),
+            shared_handler(Box::new(ToyHandler::new(4096))),
+            &image,
+        )
+        .unwrap();
         let mm = Arc::new(MemoryManager::new(None));
         target.set_memory(Arc::clone(&mm), 3);
         let s = mm.stats();
@@ -991,8 +1003,12 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert_eq!(reps[0].status, ReplyStatus::Ok);
         let image = source.snapshot();
         source.teardown();
-        let mut target =
-            ApiServer::restore(Arc::clone(&desc), Box::new(ToyHandler::new(1024)), &image).unwrap();
+        let mut target = ApiServer::restore_with(
+            Arc::clone(&desc),
+            shared_handler(Box::new(ToyHandler::new(1024))),
+            &image,
+        )
+        .unwrap();
         // A retry that straddled the migration is still deduplicated.
         let dup = pump(
             &mut target,
