@@ -252,9 +252,10 @@ pub mod channel {
         /// mutex for parked receivers.
         stash: Mutex<VecDeque<T>>,
         available: Condvar,
-        /// Messages in flight (intake + stash), maintained exactly as the
-        /// old shim did: bumped after a send, saturating-decremented on
-        /// receive.
+        /// Messages in flight (intake + stash). A send bumps it *before*
+        /// enqueueing, so a receive never finds it lower than the messages
+        /// it can take: an upper bound while a send is mid-flight, exact
+        /// when quiescent.
         queued: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
@@ -273,11 +274,11 @@ pub mod channel {
         }
 
         fn took(&self) {
-            // `send` bumps the counter after the message is enqueued, so a
-            // receive can observe it first; saturate instead of underflow.
-            let _ = self
-                .queued
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+            // `send` counted this message before enqueueing it, so the
+            // counter is at least one here. Counting after enqueueing would
+            // let a receive overtake the bump and leave the counter one too
+            // high for good, with `is_empty` false on an empty queue.
+            self.queued.fetch_sub(1, Ordering::AcqRel);
         }
 
         /// Wakes parked receivers; takes the stash lock only when someone
@@ -379,8 +380,8 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            self.shared.intake.push(value);
             self.shared.queued.fetch_add(1, Ordering::AcqRel);
+            self.shared.intake.push(value);
             self.shared.wake();
             Ok(())
         }
@@ -582,6 +583,41 @@ pub mod channel {
                 h.join().unwrap();
             }
             assert_eq!(count, senders * per);
+        }
+
+        /// A receiver polling while senders push must leave the count at
+        /// zero once it has taken everything: a count that drifts upward
+        /// makes `is_empty` false forever, and a closed in-process
+        /// transport is then never seen as drained.
+        #[test]
+        fn queued_count_returns_to_zero_under_racing_receives() {
+            let (tx, rx) = unbounded();
+            let (senders, per) = (2, 50_000);
+            let handles: Vec<_> = (0..senders)
+                .map(|_| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..per {
+                            tx.send(i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut count = 0;
+            loop {
+                match rx.try_recv() {
+                    Ok(_) => count += 1,
+                    Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                    Err(TryRecvError::Disconnected) => break,
+                }
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(count, senders * per);
+            assert_eq!(rx.len(), 0);
+            assert!(rx.is_empty());
         }
     }
 }
