@@ -6,8 +6,8 @@
 //! process-level isolation between guests). The OpenCL and MVNC
 //! convenience constructors live in the crate root.
 //!
-//! Two modules hold the machinery: [`lifecycle`] builds, serves and
-//! relocates each VM's API server; [`supervisor`] owns the device pool and
+//! Two modules hold the machinery: `lifecycle` builds, serves and
+//! relocates each VM's API server; `supervisor` owns the device pool and
 //! the thread that recovers crashed servers and watches load.
 
 #![warn(clippy::too_many_lines)]

@@ -148,7 +148,7 @@ impl CircuitBreaker {
     /// Whether a call from this tenant may be admitted right now. In
     /// half-open, admits exactly one probe at a time (the caller must
     /// report its outcome via [`CircuitBreaker::on_success`] /
-    /// [`CircuitBreaker::on_failure`]).
+    /// [`CircuitBreaker::on_failure_at`]).
     pub fn admit_at(&mut self, now: Instant) -> bool {
         match self.state_at(now) {
             BreakerState::Closed => true,

@@ -12,9 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ava_spec::{
-    ApiDescriptor, Direction, ElemKind, FunctionDesc, RecordCategory, RetDesc, Transfer,
-};
+use ava_spec::{ApiDescriptor, ElemKind, FunctionDesc, RecordCategory, RetDesc, Transfer};
 use ava_telemetry::{metric_set, EventKind, Histogram, IntMap, Stage, Telemetry, Tier};
 use ava_transport::Transport;
 use ava_wire::{
@@ -957,7 +955,6 @@ impl ApiServer {
             };
             outputs.push((idx, translated));
         }
-        let _ = Direction::In; // (diagnostic aid; directions enforced guest-side)
         Ok((ret, outputs, produced))
     }
 

@@ -51,7 +51,7 @@ fn mix(a: u64, b: u64) -> u64 {
 /// transport a cache hit saves only one payload copy, so the digest must
 /// run well above memcpy speed to leave a margin. `digest64` consumes
 /// 64 bytes per step across four independent lanes, each folding 16 bytes
-/// through a single widening multiply ([`mix`], the wyhash primitive) —
+/// through a single widening multiply (`mix`, the wyhash primitive) —
 /// one multiply per 16 bytes instead of FNV's one per byte — then combines
 /// the lanes with the input length. Buffers shorter than one block fall
 /// back to reference FNV-1a, so tiny payloads pay no setup.
