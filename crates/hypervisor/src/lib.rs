@@ -138,28 +138,16 @@ impl Hypervisor {
         kind: TransportKind,
         model: CostModel,
     ) -> Result<VmConnection, HypervisorError> {
-        self.add_vm_with_faults(policy, kind, model, None, None)
+        self.add_vm_full(policy, kind, model, None, None, None)
     }
 
-    /// Like [`Hypervisor::add_vm`], but with deterministic fault injection
-    /// on the guest channel. `guest_tx_plan` faults frames the guest sends
-    /// (calls), `guest_rx_plan` faults frames the router sends back
+    /// The full attachment variant: an optional device-pool slot binding
+    /// plus deterministic fault injection on the guest channel. Lanes
+    /// bound to the same slot share its in-flight budget and show up in
+    /// `pool.slot<N>.*` telemetry. `guest_tx_plan` faults frames the guest
+    /// sends (calls), `guest_rx_plan` faults frames the router sends back
     /// (replies) — each direction draws from its own seeded schedule, so a
     /// chaos run is reproducible from the two seeds alone.
-    pub fn add_vm_with_faults(
-        &self,
-        policy: VmPolicy,
-        kind: TransportKind,
-        model: CostModel,
-        guest_tx_plan: Option<FaultPlan>,
-        guest_rx_plan: Option<FaultPlan>,
-    ) -> Result<VmConnection, HypervisorError> {
-        self.add_vm_full(policy, kind, model, None, guest_tx_plan, guest_rx_plan)
-    }
-
-    /// The full attachment variant: fault plans plus an optional device-
-    /// pool slot binding. Lanes bound to the same slot share its in-flight
-    /// budget and show up in `pool.slot<N>.*` telemetry.
     pub fn add_vm_full(
         &self,
         policy: VmPolicy,
@@ -324,6 +312,48 @@ mod tests {
         })
     }
 
+    fn async_call(id: u64) -> Message {
+        Message::Call(CallRequest {
+            call_id: id,
+            fn_id: 0,
+            mode: CallMode::Async,
+            args: vec![Value::U32(1)],
+            budget_us: 0,
+        })
+    }
+
+    fn ok_reply(id: u64) -> Message {
+        Message::Reply(CallReply {
+            call_id: id,
+            status: ReplyStatus::Ok,
+            ret: Value::I32(0),
+            outputs: vec![],
+        })
+    }
+
+    /// Plays a server by hand: receives until `n` calls arrived, whether
+    /// the router forwarded them singly or as one run, and returns their
+    /// ids in arrival order.
+    fn recv_call_ids(server: &BoxedTransport, n: usize) -> Vec<u64> {
+        let mut ids = Vec::new();
+        while ids.len() < n {
+            match server.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Some(Message::Call(req)) => ids.push(req.call_id),
+                Some(Message::Batch(reqs)) => ids.extend(reqs.iter().map(|r| r.call_id)),
+                other => panic!("after {ids:?}: {other:?}"),
+            }
+        }
+        ids
+    }
+
+    /// Receives the next reply the router relays to a guest.
+    fn recv_reply(guest: &BoxedTransport) -> CallReply {
+        match guest.recv_timeout(Duration::from_secs(5)).unwrap() {
+            Some(Message::Reply(rep)) => rep,
+            other => panic!("{other:?}"),
+        }
+    }
+
     /// Echo server: answers every call with an Ok reply carrying the id.
     fn spawn_echo(server: BoxedTransport) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
@@ -417,10 +447,11 @@ mod tests {
             ..FaultPlan::quiet(1)
         };
         let conn = hv
-            .add_vm_with_faults(
+            .add_vm_full(
                 VmPolicy::default(),
                 TransportKind::InProcess,
                 CostModel::free(),
+                None,
                 None,
                 Some(replies),
             )
@@ -447,6 +478,70 @@ mod tests {
             .send(&Message::Control(ControlMessage::Shutdown))
             .unwrap();
         echo.join().unwrap();
+    }
+
+    #[test]
+    fn async_failure_reply_leaves_the_sync_call_outstanding() {
+        let hv = Hypervisor::new(SchedulerKind::Fifo, None);
+        let conn = hv
+            .add_vm(
+                VmPolicy::default(),
+                TransportKind::InProcess,
+                CostModel::free(),
+            )
+            .unwrap();
+        conn.guest.send(&async_call(1)).unwrap();
+        conn.guest.send(&call(2)).unwrap();
+        assert_eq!(recv_call_ids(&conn.server, 2), [1, 2]);
+        // The server fails the async call and holds the sync one.
+        conn.server
+            .send(&Message::Reply(CallReply::transport_error(1)))
+            .unwrap();
+        assert_eq!(recv_reply(&conn.guest).call_id, 1);
+        assert_eq!(hv.vm_stats(conn.vm_id).unwrap().outstanding, 1);
+        // Only the sync call's own reply settles it.
+        conn.server.send(&ok_reply(2)).unwrap();
+        assert_eq!(recv_reply(&conn.guest).call_id, 2);
+        assert_eq!(hv.vm_stats(conn.vm_id).unwrap().outstanding, 0);
+    }
+
+    #[test]
+    fn async_failure_reply_does_not_free_the_slot_budget() {
+        let hv = Hypervisor::with_config(RouterConfig {
+            slot_inflight: 1,
+            ..RouterConfig::default()
+        });
+        let attach = || {
+            hv.add_vm_full(
+                VmPolicy::default(),
+                TransportKind::InProcess,
+                CostModel::free(),
+                Some(0),
+                None,
+                None,
+            )
+            .unwrap()
+        };
+        let (a, b) = (attach(), attach());
+        // Lane A's server fails its async call and holds its sync call,
+        // which takes the slot's whole one-call budget.
+        a.guest.send(&async_call(1)).unwrap();
+        a.guest.send(&call(2)).unwrap();
+        assert_eq!(recv_call_ids(&a.server, 2), [1, 2]);
+        a.server
+            .send(&Message::Reply(CallReply::transport_error(1)))
+            .unwrap();
+        assert_eq!(recv_reply(&a.guest).call_id, 1);
+        // A sync call on the slot-mate must wait for the held call.
+        b.guest.send(&call(3)).unwrap();
+        assert_eq!(
+            b.server.recv_timeout(Duration::from_millis(100)).unwrap(),
+            None,
+            "a second sync call went past the slot's in-flight budget"
+        );
+        a.server.send(&ok_reply(2)).unwrap();
+        assert_eq!(recv_reply(&a.guest).call_id, 2);
+        assert_eq!(recv_call_ids(&b.server, 1), [3]);
     }
 
     #[test]
