@@ -312,7 +312,6 @@ impl ApiStack {
             max_slot_queue_depth: config.max_slot_queue_depth,
             max_queue_age: config.max_queue_age,
             breaker: config.breaker,
-            ..RouterConfig::default()
         });
         let pool = (config.pool_size > 0).then(|| {
             PoolState::new(

@@ -12,6 +12,8 @@
 //! * [`policy`] — token-bucket rate limiter, scheduler kinds, per-VM
 //!   policies.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod policy;
 pub mod router;
 
@@ -99,7 +101,7 @@ impl Hypervisor {
         let (cmd_tx, cmd_rx) = unbounded();
         let handle = std::thread::Builder::new()
             .name("ava-router".into())
-            .spawn(move || router::run_router(config, cmd_rx))
+            .spawn(move || router::Router::new(config).run(cmd_rx))
             .expect("spawn router thread");
         Hypervisor {
             cmd_tx,

@@ -46,10 +46,15 @@ impl Counter {
     /// Subtracts one, saturating at zero (used for in-flight gauges such
     /// as outstanding-call counts).
     pub fn dec_saturating(&self) {
+        self.sub_saturating(1);
+    }
+
+    /// Subtracts `n`, saturating at zero.
+    pub fn sub_saturating(&self, n: u64) {
         let _ = self
             .inner
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
+                Some(v.saturating_sub(n))
             });
     }
 
