@@ -270,12 +270,15 @@ impl Hypervisor {
             .ok_or(HypervisorError::UnknownVm(vm_id))
     }
 
-    /// Waits until a paused VM has no outstanding forwarded calls — the
-    /// quiescence point at which the server's state can be snapshotted for
-    /// migration (§4.3). Reads the lane's `outstanding` cell, so a router
-    /// busy elsewhere cannot stall it. A call the router forwards before
-    /// it applies the pause still reaches the VM's server channel, which a
-    /// relocation keeps: the rebuilt server executes it.
+    /// Waits until a paused VM has no outstanding forwarded *sync* calls —
+    /// the quiescence point at which the server's state can be
+    /// snapshotted for migration (§4.3). Async calls are never counted
+    /// (the server answers them only on failure); those already forwarded
+    /// are drained by the server's halt, which executes what its channel
+    /// holds before it stops. Reads the lane's `outstanding` cell, so a
+    /// router busy elsewhere cannot stall it. A call the router forwards
+    /// before it applies the pause still reaches the VM's server channel,
+    /// which a relocation keeps: the rebuilt server executes it.
     pub fn wait_quiescent(&self, vm_id: VmId, timeout: Duration) -> Result<(), HypervisorError> {
         let deadline = Instant::now() + timeout;
         loop {

@@ -155,8 +155,7 @@ const FORWARD_RUN_MAX: usize = 32;
 
 /// Shared scheduling state for one device-pool slot: the totals of its
 /// lanes' ledgers. Admission checks and the `pool.slot<N>.queue_depth`
-/// gauge are O(1) atomic reads — no per-pick rebuild of slot budgets and
-/// no per-iteration rescan of lanes to refresh the gauges.
+/// gauge are O(1) atomic reads, with no scan over lanes.
 #[derive(Clone, Default)]
 struct SlotEntry {
     /// Sync calls forwarded and unanswered across the slot's lanes (the
@@ -174,8 +173,9 @@ struct SlotEntry {
 /// depth and outstanding are always the sums over its lanes' ledgers.
 struct Ledger {
     queue: VecDeque<QueuedCall>,
-    /// Forwarded sync calls awaiting their reply. A lane has a handful in
-    /// flight at most, so a scan beats a map.
+    /// Forwarded sync calls awaiting their reply. Each one blocks a guest
+    /// thread, so a lane has a few in flight at most and a scan beats a
+    /// map.
     inflight: Vec<u64>,
     /// The lane's `outstanding` cell: always `inflight.len()`.
     outstanding: Counter,
