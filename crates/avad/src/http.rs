@@ -101,7 +101,6 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     inflight: Arc<AtomicU64>,
-    served: Arc<AtomicU64>,
 }
 
 impl Server {
@@ -115,7 +114,6 @@ impl Server {
             addr,
             stop: Arc::new(AtomicBool::new(false)),
             inflight: Arc::new(AtomicU64::new(0)),
-            served: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -131,11 +129,6 @@ impl Server {
             stop: Arc::clone(&self.stop),
             inflight: Arc::clone(&self.inflight),
         }
-    }
-
-    /// Total requests served (including error responses).
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
     }
 
     /// Runs the accept loop until stopped. Each connection is handled on
@@ -165,10 +158,9 @@ impl Server {
                     let _ = stream.set_nonblocking(false);
                     let handler = Arc::clone(&handler);
                     let inflight = Arc::clone(&self.inflight);
-                    let served = Arc::clone(&self.served);
                     inflight.fetch_add(1, Ordering::AcqRel);
                     workers.push(std::thread::spawn(move || {
-                        let _ = serve_conn(stream, &*handler, &served);
+                        let _ = serve_conn(stream, &*handler);
                         inflight.fetch_sub(1, Ordering::AcqRel);
                     }));
                 }
@@ -221,7 +213,7 @@ impl Stopper {
     }
 }
 
-fn serve_conn<F>(stream: TcpStream, handler: &F, served: &AtomicU64) -> std::io::Result<()>
+fn serve_conn<F>(stream: TcpStream, handler: &F) -> std::io::Result<()>
 where
     F: Fn(Request) -> Response,
 {
@@ -233,7 +225,6 @@ where
         Ok(None) => return Ok(()), // client connected and said nothing (shutdown kick)
         Err(e) => Response::json(400, format!("{{\"error\":\"bad request: {e}\"}}")),
     };
-    served.fetch_add(1, Ordering::Relaxed);
     write_response(stream, &response)
 }
 

@@ -37,11 +37,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// A numeric value from any integer.
-    pub fn num(v: impl Into<f64>) -> Json {
-        Json::Num(v.into())
-    }
-
     /// A numeric value from a u64 (lossy above 2^53, fine for stats).
     pub fn u64(v: u64) -> Json {
         Json::Num(v as f64)
@@ -75,14 +70,6 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }

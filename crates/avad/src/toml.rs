@@ -36,17 +36,6 @@ impl TomlValue {
     }
 }
 
-impl fmt::Display for TomlValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TomlValue::Str(s) => write!(f, "{}", write_str(s)),
-            TomlValue::Int(i) => write!(f, "{i}"),
-            TomlValue::Float(v) => write!(f, "{}", write_float(*v)),
-            TomlValue::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
 /// One `[section]`'s key→value pairs.
 pub type TomlTable = BTreeMap<String, TomlValue>;
 

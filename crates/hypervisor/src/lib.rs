@@ -77,7 +77,6 @@ pub struct Hypervisor {
     cmd_tx: Sender<RouterCmd>,
     handle: Option<std::thread::JoinHandle<()>>,
     next_vm: AtomicU32,
-    telemetry: parking_lot::Mutex<ava_telemetry::Telemetry>,
     /// Each attached lane's counters. The router thread updates the same
     /// cells, so stats and quiescence are read here directly and never
     /// wait on the router.
@@ -107,7 +106,6 @@ impl Hypervisor {
             cmd_tx,
             handle: Some(handle),
             next_vm: AtomicU32::new(1),
-            telemetry: parking_lot::Mutex::new(ava_telemetry::Telemetry::disabled()),
             lanes: parking_lot::Mutex::new(HashMap::new()),
         }
     }
@@ -119,16 +117,9 @@ impl Hypervisor {
         &self,
         telemetry: ava_telemetry::Telemetry,
     ) -> Result<(), HypervisorError> {
-        *self.telemetry.lock() = telemetry.clone();
         self.cmd_tx
             .send(RouterCmd::SetTelemetry(telemetry))
             .map_err(|_| HypervisorError::RouterGone)
-    }
-
-    /// Renders the attached registry as a text report; `None` when
-    /// telemetry was never attached.
-    pub fn telemetry_report(&self) -> Option<String> {
-        self.telemetry.lock().report()
     }
 
     /// Attaches a VM using `kind` as the guest↔hypervisor transport with

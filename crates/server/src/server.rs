@@ -268,12 +268,6 @@ impl ApiServer {
         self.telemetry = telemetry;
     }
 
-    /// Renders the attached registry as a text report; `None` when
-    /// telemetry is disabled.
-    pub fn telemetry_report(&self) -> Option<String> {
-        self.telemetry.report()
-    }
-
     /// Execution statistics.
     pub fn stats(&self) -> ServerStats {
         self.counters.snapshot()
