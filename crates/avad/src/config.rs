@@ -291,6 +291,11 @@ trait Section {
     /// Each key whose value lies outside its declared range, with the
     /// `must be …` reason.
     fn bounds_errors(&self) -> Vec<(&'static str, String)>;
+
+    /// True when the section declares `key`.
+    fn declares(key: &str) -> bool
+    where
+        Self: Sized;
 }
 
 /// Declares one `[section]` of the schema. Each entry is a documented
@@ -362,6 +367,11 @@ macro_rules! config_section {
                 $(errors.extend(self.$flat.bounds_errors());)?
                 errors
             }
+
+            fn declares(key: &str) -> bool {
+                [$(stringify!($key)),*].contains(&key)
+                    $(|| <$Flat as Section>::declares(key))?
+            }
         }
     };
 }
@@ -429,7 +439,7 @@ config_section! {
         /// Per-attempt sync-call deadline in ms; unset waits forever.
         call_deadline_ms: Option<u64> = None;
         /// Retry budget for timed-out calls.
-        max_retries: u64 = u64::from(GuestConfig::default().max_retries);
+        max_retries: u64 = u64::from(GuestConfig::default().max_retries), in U32;
         /// Initial retry backoff in ms (doubles per attempt).
         retry_backoff_ms: u64 = GuestConfig::default().retry_backoff.as_millis() as u64;
     }
@@ -524,6 +534,11 @@ fn saturate_u32(v: u64) -> u32 {
 }
 
 impl PolicySection {
+    /// The first key of `keys` that `[policy]` does not declare.
+    pub(crate) fn unknown_key<'k>(mut keys: impl Iterator<Item = &'k str>) -> Option<&'k str> {
+        keys.find(|key| !<Self as Section>::declares(key))
+    }
+
     /// The first declared range the section breaks, as
     /// `policy.<key> must be …`.
     pub(crate) fn range_error(&self) -> Option<String> {

@@ -732,9 +732,14 @@ fn at_most<T: PartialOrd + std::fmt::Display>(
 }
 
 /// Reads the request's `policy` object into a [`PolicySection`], with
-/// the same ranges a config file's `[policy]` obeys, and lowers it the
-/// same way.
+/// the same keys and ranges a config file's `[policy]` obeys, and lowers
+/// it the same way.
 fn policy_from_json(p: &Json) -> Result<PolicyDefaults, String> {
+    if let Json::Obj(fields) = p {
+        if let Some(key) = PolicySection::unknown_key(fields.keys().map(String::as_str)) {
+            return Err(format!("unknown key `policy.{key}`"));
+        }
+    }
     let u64_field = |key: &str| -> Result<Option<u64>, String> {
         p.get(key)
             .map(|v| {

@@ -347,6 +347,29 @@ fn out_of_range_request_policies_are_refused() {
     handle.stop();
 }
 
+/// A misspelt request-body policy key is refused by name, as the same
+/// typo in a config file's `[policy]` is, instead of silently running the
+/// VM on its defaults.
+#[test]
+fn unknown_request_policy_keys_are_refused() {
+    let (handle, ops, _alice) = boot(None);
+    let refused = ops.create_vm("{\"policy\":{\"weigth\":5}}").unwrap();
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert!(
+        refused.body.contains("unknown key `policy.weigth`"),
+        "{}",
+        refused.body
+    );
+    let listing = ops.list_vms().unwrap();
+    assert_eq!(
+        listing.body.matches("\"id\":").count(),
+        0,
+        "{}",
+        listing.body
+    );
+    handle.stop();
+}
+
 #[test]
 fn shutdown_endpoint_drains_detaches_and_flushes_trace() {
     let dir = std::env::temp_dir().join(format!("avad_e2e_{}", std::process::id()));

@@ -549,12 +549,6 @@ impl ApiStack {
             .with_vm(vm, |runtime| runtime.server.lock().stats())
     }
 
-    /// Estimated live device memory held by a VM's server.
-    pub fn vm_live_device_mem(&self, vm: VmId) -> Result<u64> {
-        self.core
-            .with_vm(vm, |runtime| runtime.server.lock().live_device_mem())
-    }
-
     /// Residency/swap statistics from the memory manager a VM reports
     /// into. For pooled VMs this is the *slot's* accountant, so the totals
     /// cover every VM sharing that device; [`ApiStack::vm_owned_device_mem`]

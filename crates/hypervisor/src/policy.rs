@@ -32,12 +32,8 @@ impl RateLimiter {
         self.last = now;
     }
 
-    /// Attempts to admit one call now; returns false when rate-limited.
-    pub fn try_admit(&mut self) -> bool {
-        self.try_admit_at(Instant::now())
-    }
-
-    /// Deterministic variant for tests.
+    /// Attempts to admit one call at `now`; returns false when
+    /// rate-limited.
     pub fn try_admit_at(&mut self, now: Instant) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {

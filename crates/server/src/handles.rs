@@ -5,7 +5,10 @@
 //! table maps wire → silo and records the handle kind so translations are
 //! type-checked. An entry can also be in the `Swapped` state, meaning its
 //! device-side object was evicted and its payload parked in host memory
-//! (buffer-granularity swapping, §4.3).
+//! (buffer-granularity swapping, §4.3). Each entry also carries what the
+//! server knows about the object — its estimated device bytes, its LRU
+//! stamp and the objects it references — so retiring a handle is one
+//! `remove`.
 
 use std::sync::Arc;
 
@@ -37,6 +40,29 @@ pub struct HandleEntry {
     pub kind: String,
     /// Live or swapped state.
     pub state: HandleState,
+    /// Estimated device bytes, for objects created by a `record(alloc)`
+    /// call with a `resource(device_mem, ...)` annotation.
+    pub(crate) bytes: Option<u64>,
+    /// The server's LRU clock at the object's last use (0: never used);
+    /// swap victims are the least recent.
+    pub(crate) last_use: u64,
+    /// Objects this one references, learned from modify records (a
+    /// kernel binding a buffer via `clSetKernelArgMem`): a call that names
+    /// this object must fault them back in too, because the device touches
+    /// them without their handles appearing in the argument list.
+    pub(crate) deps: Vec<u64>,
+}
+
+impl HandleEntry {
+    fn live(kind: &str, silo: u64) -> Self {
+        HandleEntry {
+            kind: kind.to_string(),
+            state: HandleState::Live(silo),
+            bytes: None,
+            last_use: 0,
+            deps: Vec::new(),
+        }
+    }
 }
 
 /// The wire↔silo handle table for one VM.
@@ -59,13 +85,7 @@ impl HandleTable {
     pub fn insert(&mut self, kind: &str, silo: u64) -> u64 {
         let wire = self.next;
         self.next += 1;
-        self.map.insert(
-            wire,
-            HandleEntry {
-                kind: kind.to_string(),
-                state: HandleState::Live(silo),
-            },
-        );
+        self.map.insert(wire, HandleEntry::live(kind, silo));
         wire
     }
 
@@ -73,18 +93,22 @@ impl HandleTable {
     /// guest already holds the old wire values).
     pub fn bind(&mut self, wire: u64, kind: &str, silo: u64) {
         self.next = self.next.max(wire + 1);
-        self.map.insert(
-            wire,
-            HandleEntry {
-                kind: kind.to_string(),
-                state: HandleState::Live(silo),
-            },
-        );
+        self.map.insert(wire, HandleEntry::live(kind, silo));
     }
 
     /// Looks up an entry.
     pub fn get(&self, wire: u64) -> Option<&HandleEntry> {
         self.map.get(&wire)
+    }
+
+    /// Looks up an entry for update.
+    pub(crate) fn get_mut(&mut self, wire: u64) -> Option<&mut HandleEntry> {
+        self.map.get_mut(&wire)
+    }
+
+    /// All entries (wire, entry), in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &HandleEntry)> {
+        self.map.iter().map(|(w, e)| (*w, e))
     }
 
     /// Translates a wire handle of the expected kind to its silo handle.
@@ -159,7 +183,7 @@ impl HandleTable {
 
     /// All entries (wire, entry), sorted by wire handle.
     pub fn entries(&self) -> Vec<(u64, &HandleEntry)> {
-        let mut out: Vec<(u64, &HandleEntry)> = self.map.iter().map(|(w, e)| (*w, e)).collect();
+        let mut out: Vec<(u64, &HandleEntry)> = self.iter().collect();
         out.sort_by_key(|(w, _)| *w);
         out
     }

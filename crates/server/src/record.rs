@@ -13,8 +13,6 @@ use ava_wire::{CallId, CallReply, CallRequest, FnId, Value};
 /// One recorded call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedCall {
-    /// Monotonic sequence number (replay order).
-    pub seq: u64,
     /// Function id within the API descriptor.
     pub fn_id: FnId,
     /// Arguments in wire form (handles are wire handles).
@@ -35,10 +33,9 @@ impl RecordedCall {
     }
 }
 
-/// The ordered log of recorded calls.
+/// The ordered log of recorded calls; vector order is replay order.
 #[derive(Debug, Default, Clone)]
 pub struct RecordLog {
-    next_seq: u64,
     calls: Vec<RecordedCall>,
 }
 
@@ -56,10 +53,7 @@ impl RecordLog {
         category: RecordCategory,
         produced: Vec<(u64, String)>,
     ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.calls.push(RecordedCall {
-            seq,
             fn_id,
             args,
             category,
@@ -222,8 +216,8 @@ mod tests {
         log.record(0, vec![], RecordCategory::Config, vec![]);
         alloc(&mut log, 1, 100);
         log.record(2, vec![Value::Handle(100)], RecordCategory::Modify, vec![]);
-        let seqs: Vec<u64> = log.replay_order().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        let fn_ids: Vec<u32> = log.replay_order().map(|c| c.fn_id).collect();
+        assert_eq!(fn_ids, vec![0, 1, 2]);
     }
 
     #[test]

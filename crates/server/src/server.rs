@@ -6,6 +6,11 @@
 //! handles, evaluates resource annotations, records calls for migration,
 //! performs buffer-granularity swapping, and delegates API execution to
 //! the CAvA-generated [`ApiHandler`].
+//!
+//! Guest calls, journal replay, image replay and fault-in share one
+//! execution core: `dispatch_evicting` (the device-OOM retry loop),
+//! `make_room` (capacity pressure), `translate_outputs` (minting or
+//! re-binding wire handles) and `record_call` (the record bookkeeping).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,10 +18,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ava_spec::{ApiDescriptor, ElemKind, FunctionDesc, RecordCategory, RetDesc, Transfer};
-use ava_telemetry::{metric_set, EventKind, Histogram, IntMap, Stage, Telemetry, Tier};
+use ava_telemetry::{metric_set, EventKind, Histogram, Stage, Telemetry, Tier};
 use ava_transport::Transport;
 use ava_wire::{
-    digest64, CallId, CallMode, CallReply, CallRequest, ControlMessage, DigestLru, Message,
+    digest64, CallId, CallMode, CallReply, CallRequest, ControlMessage, DigestLru, FnId, Message,
     ReplyStatus, Value, VmId,
 };
 
@@ -30,6 +35,10 @@ use crate::record::{CallJournal, JournalEntry, MigrationImage, RecordLog};
 /// guest library serializes sync calls, so a retry can only ever chase the
 /// most recent executions; 64 leaves generous slack for batched traffic.
 const REPLY_CACHE_CAP: usize = 64;
+
+/// Most victims one eviction loop (device OOM or capacity pressure) takes
+/// before giving up and proceeding.
+const MAX_EVICTIONS: usize = 64;
 
 metric_set! {
     /// Server execution statistics.
@@ -71,22 +80,15 @@ pub struct ApiServer {
     /// device pool every server of a slot clones the same [`SharedHandler`],
     /// and dispatches serialize on its mutex (real device contention).
     handler: SharedHandler,
+    /// One entry per wire handle: its silo handle or parked payload, its
+    /// estimated bytes, LRU stamp and dependencies.
     handles: HandleTable,
     records: RecordLog,
-    /// Estimated device bytes per allocated wire handle (from
-    /// `resource(device_mem, ...)` annotations).
-    mem_sizes: IntMap<u64, u64>,
-    /// Object→object references learned from modify records (e.g. a
-    /// kernel binding a mem buffer via `clSetKernelArgMem`): dispatching
-    /// a call that names the referrer must fault the referents back in
-    /// too, because the device will touch them without their handles ever
-    /// appearing in the argument list.
-    deps: IntMap<u64, Vec<u64>>,
-    /// LRU clock for swap victim selection — the stack's one LRU; the
-    /// [`MemoryManager`] only keeps residency books.
+    /// LRU clock for swap victim selection — the stack's one LRU (each
+    /// handle entry keeps its stamp); the [`MemoryManager`] only keeps
+    /// residency books.
     use_clock: u64,
-    last_use: IntMap<u64, u64>,
-    /// The handles a call reaches (see `execute`), kept between calls so
+    /// The handles a call reaches (see `reach`), kept between calls so
     /// the per-call path reuses one allocation.
     reached: Vec<u64>,
     counters: ServerCounters,
@@ -122,8 +124,9 @@ pub struct ApiServer {
     /// executed call is appended with its materialized request and reply.
     journal: Option<Arc<Mutex<CallJournal>>>,
     /// Device-memory residency accounting, shared per device (slot-wide
-    /// on pools). `None` leaves the legacy OOM-only swapping behaviour.
-    memory: Option<Arc<MemoryManager>>,
+    /// on pools); a private one without capacity until
+    /// [`ApiServer::set_memory`] replaces it.
+    memory: Arc<MemoryManager>,
     /// This server's VM id within the memory manager's accounting.
     mem_vm: VmId,
     /// Hard per-VM device-memory quota over the VM's total footprint
@@ -162,8 +165,13 @@ pub fn serve_with(
     }
 }
 
-/// `(ret, outputs, produced-handle registrations)` from one dispatch.
-type TranslatedOutputs = (Value, Vec<(u32, Value)>, Vec<(u64, String)>);
+/// Every wire handle a call produced, with its kind, in canonical order
+/// (return value first, then outputs in parameter order, list elements
+/// in sequence).
+type Produced = Vec<(u64, String)>;
+
+/// `(ret, outputs, produced)` from one dispatch.
+type TranslatedOutputs = (Value, Vec<(u32, Value)>, Produced);
 
 impl ApiServer {
     /// Creates a server for one VM with a private handler (its own device).
@@ -180,10 +188,7 @@ impl ApiServer {
             handler,
             handles: HandleTable::new(),
             records: RecordLog::new(),
-            mem_sizes: IntMap::default(),
-            deps: IntMap::default(),
             use_clock: 0,
-            last_use: IntMap::default(),
             reached: Vec::new(),
             counters: ServerCounters::default(),
             telemetry: Telemetry::disabled(),
@@ -195,7 +200,7 @@ impl ApiServer {
             highwater: None,
             reply_cache: VecDeque::new(),
             journal: None,
-            memory: None,
+            memory: Arc::new(MemoryManager::new(None)),
             mem_vm: 0,
             mem_quota: None,
         }
@@ -210,18 +215,20 @@ impl ApiServer {
         self.journal = Some(journal);
     }
 
-    /// Attaches the device-memory manager (shared with every other server
-    /// on the same device) and this server's VM id within it. Buffers the
-    /// server already tracks are registered immediately, so attaching
-    /// after a restore re-materializes the residency accounting.
+    /// Replaces the device-memory manager with one shared with every
+    /// other server on the same device, under this server's VM id within
+    /// it. Buffers the server already tracks are registered immediately,
+    /// so attaching after a restore re-materializes the residency
+    /// accounting.
     pub fn set_memory(&mut self, memory: Arc<MemoryManager>, vm: VmId) {
-        for (wire, bytes) in &self.mem_sizes {
-            memory.alloc(vm, *wire, *bytes);
-            if let Some(HandleState::Swapped { data }) = self.handles.get(*wire).map(|e| &e.state) {
-                memory.note_evicted(vm, *wire, Arc::clone(data));
+        for (wire, entry) in self.handles.iter() {
+            let Some(bytes) = entry.bytes else { continue };
+            memory.alloc(vm, wire, bytes);
+            if let HandleState::Swapped { data } = &entry.state {
+                memory.note_evicted(vm, wire, Arc::clone(data));
             }
         }
-        self.memory = Some(memory);
+        self.memory = memory;
         self.mem_vm = vm;
     }
 
@@ -280,17 +287,17 @@ impl ApiServer {
 
     /// Estimated device memory currently live (excludes swapped objects).
     pub fn live_device_mem(&self) -> u64 {
-        self.mem_sizes
+        self.handles
             .iter()
-            .filter(|(w, _)| !self.handles.is_swapped(**w))
-            .map(|(_, sz)| *sz)
+            .filter(|(_, e)| matches!(e.state, HandleState::Live(_)))
+            .filter_map(|(_, e)| e.bytes)
             .sum()
     }
 
     /// Estimated device memory the VM owns in total, resident plus
     /// swapped — the footprint the quota is enforced against.
     pub fn owned_device_mem(&self) -> u64 {
-        self.mem_sizes.values().sum()
+        self.handles.iter().filter_map(|(_, e)| e.bytes).sum()
     }
 
     /// Serves calls from `transport` until the peer shuts down or `stop`
@@ -466,19 +473,12 @@ impl ApiServer {
             .cloned()
     }
 
-    /// Post-execution bookkeeping: advance the at-most-once highwater
-    /// mark, cache the reply for duplicate suppression (sync only — async
-    /// duplicates are suppressed silently), and append to the crash
-    /// journal. `CacheMiss` NACKs never reach here: a NACKed call did not
-    /// execute, so its retransmission must not be treated as a duplicate.
+    /// Post-execution bookkeeping of a served call: the at-most-once step,
+    /// then the append to the crash journal. `CacheMiss` NACKs never reach
+    /// here: a NACKed call did not execute, so its retransmission must not
+    /// be treated as a duplicate.
     fn note_executed(&mut self, request: CallRequest, reply: &CallReply) {
-        self.highwater = Some(match self.highwater {
-            Some(h) => h.max(reply.call_id),
-            None => reply.call_id,
-        });
-        if request.mode == CallMode::Sync {
-            self.remember_reply(reply.clone());
-        }
+        self.mark_executed(&request, reply);
         if let Some(journal) = &self.journal {
             if let Ok(mut j) = journal.lock() {
                 j.record(request, reply.clone());
@@ -486,10 +486,18 @@ impl ApiServer {
         }
     }
 
-    fn remember_reply(&mut self, reply: CallReply) {
-        self.reply_cache.push_back(reply);
-        while self.reply_cache.len() > REPLY_CACHE_CAP {
-            self.reply_cache.pop_front();
+    /// The at-most-once step of every executed call, served or replayed
+    /// from the journal: advance the highwater mark and cache the reply
+    /// for duplicate suppression (sync only — async duplicates are
+    /// suppressed silently).
+    fn mark_executed(&mut self, request: &CallRequest, reply: &CallReply) {
+        let id = request.call_id;
+        self.highwater = Some(self.highwater.map_or(id, |h| h.max(id)));
+        if request.mode == CallMode::Sync {
+            self.reply_cache.push_back(reply.clone());
+            while self.reply_cache.len() > REPLY_CACHE_CAP {
+                self.reply_cache.pop_front();
+            }
         }
     }
 
@@ -506,19 +514,11 @@ impl ApiServer {
     /// retries of pre-crash calls stay suppressed. Returns the number of
     /// calls replayed.
     pub fn replay_journal(&mut self, entries: &[JournalEntry]) -> u64 {
-        let mut replayed = 0;
         for entry in entries {
             let _ = self.respond(&entry.request);
-            self.highwater = Some(match self.highwater {
-                Some(h) => h.max(entry.request.call_id),
-                None => entry.request.call_id,
-            });
-            if entry.request.mode == CallMode::Sync {
-                self.remember_reply(entry.reply.clone());
-            }
-            replayed += 1;
+            self.mark_executed(&entry.request, &entry.reply);
         }
-        replayed
+        entries.len() as u64
     }
 
     /// Rewrites `req` in place: received eligible buffers are inserted
@@ -553,13 +553,8 @@ impl ApiServer {
     /// replies when something went wrong (the guest synthesizes success
     /// immediately and receives failures as deferred errors, §4.2). This
     /// halves message traffic for async-heavy call streams.
-    pub fn should_reply(
-        &self,
-        fn_id: ava_wire::FnId,
-        mode: ava_wire::CallMode,
-        reply: &CallReply,
-    ) -> bool {
-        if mode == ava_wire::CallMode::Sync || reply.status != ReplyStatus::Ok {
+    fn should_reply(&self, fn_id: FnId, mode: CallMode, reply: &CallReply) -> bool {
+        if mode == CallMode::Sync || reply.status != ReplyStatus::Ok {
             return true;
         }
         match self.desc.by_id(fn_id).map(|f| &f.ret) {
@@ -591,7 +586,7 @@ impl ApiServer {
             if let Some(h) = self.fn_hists.get(req.fn_id as usize) {
                 h.record(end.saturating_sub(start));
             }
-            if req.mode == ava_wire::CallMode::Sync {
+            if req.mode == CallMode::Sync {
                 self.telemetry
                     .span_stage_at(req.call_id, Stage::Executed, end, Some(req.fn_id));
             }
@@ -611,9 +606,7 @@ impl ApiServer {
                 // execute, the lane stays healthy, and the guest gets a
                 // dedicated status it can surface without retrying.
                 self.counters.quota_rejects.inc();
-                if let Some(mm) = &self.memory {
-                    mm.count_quota_reject();
-                }
+                self.memory.count_quota_reject();
                 self.telemetry
                     .event(Tier::Server, EventKind::QuotaReject, req.call_id, requested);
                 CallReply {
@@ -646,14 +639,10 @@ impl ApiServer {
             )));
         }
 
-        // Quota enforcement and capacity pressure, decided before any
-        // side effect (no swap-in, no dispatch) so a refused call leaves
-        // the server untouched.
-        let alloc_bytes = if func.record == Some(RecordCategory::Alloc) {
-            self.estimate_mem(func, &req.args)
-        } else {
-            None
-        };
+        // Quota enforcement, decided before any side effect (no eviction,
+        // no swap-in, no dispatch) so a refused call leaves the server
+        // untouched.
+        let alloc_bytes = self.alloc_bytes(func, &req.args);
         if let (Some(bytes), Some(quota)) = (alloc_bytes, self.mem_quota) {
             if self.owned_device_mem() + bytes > quota {
                 return Err(ServerError::QuotaExceeded {
@@ -662,51 +651,81 @@ impl ApiServer {
                 });
             }
         }
-        // Proactive LRU eviction: keep the device's resident set under the
-        // configured capacity. Only this VM's objects are eligible victims;
-        // if the pressure comes from a neighbour on a shared slot, the
-        // device-OOM retry loop below remains the backstop.
-        if let Some(bytes) = alloc_bytes {
-            if let Some(mm) = self.memory.clone() {
-                let mut evictions = 0;
-                while mm.over_capacity(bytes) && evictions < 64 {
-                    if !self.swap_out_one_victim()? {
-                        break;
-                    }
-                    evictions += 1;
-                }
-            }
-        }
 
-        // Swap-in every evicted object this call will reach: the handle
-        // arguments themselves plus their recorded dependency closure (a
-        // kernel drags in its bound buffers — the device touches them
-        // without their handles appearing in the argument list). Each
-        // fault-in runs under the same proactive capacity pressure a
-        // fresh allocation faces, because without eviction here one scan
-        // over an overcommitted working set would end fully resident;
-        // the needed set is pinned, so LRU never victimizes an object
-        // this very call is about to use.
-        //
+        // Everything the call reaches is pinned against eviction, by
+        // capacity pressure and by device OOM alike: no victim is ever an
+        // object this very call is about to dispatch on.
+        let (needed, arg_count) = self.reach(func, &req.args);
+        if let Some(bytes) = alloc_bytes {
+            self.make_room(bytes, &needed)?;
+        }
         // Each reached handle is touched once: the dependency closure
         // here, the arguments (in parameter order) by `translate_args`
         // below, so arguments end up more recent than their closure.
+        for &wire in &needed[arg_count..] {
+            self.touch(wire);
+        }
+        for &wire in &needed {
+            if self.handles.is_swapped(wire) {
+                self.fault_in(wire, &needed)?;
+            }
+        }
+        let silo_args = self.translate_args(func, &req.args)?;
+        let out = self.dispatch_evicting(func, &silo_args, &needed)?;
+        self.reached = needed;
+
+        let destroyed = out.destroyed;
+        let (ret, outputs, produced) = self.translate_outputs(func, out, None)?;
+        let call_succeeded = match (&func.ret, &ret) {
+            (RetDesc::Status { success, .. }, v) => v.as_i64() == Some(*success),
+            (RetDesc::Handle { .. }, Value::Null) => false,
+            _ => true,
+        };
+        if !call_succeeded {
+            return Ok((ret, outputs));
+        }
+        // Deallocations retire the handle's entry, records and residency
+        // — unless the handler reported the object survived (refcounted
+        // releases).
+        for (param, arg) in func.params.iter().zip(req.args.iter()) {
+            if let (Transfer::Handle { deallocates, .. }, Value::Handle(wire)) =
+                (&param.transfer, arg)
+            {
+                if *deallocates && destroyed.unwrap_or(true) {
+                    self.handles.remove(*wire);
+                    self.records.cancel_for_handle(*wire);
+                    self.memory.free(self.mem_vm, *wire);
+                }
+            }
+        }
+        if let Some(
+            category @ (RecordCategory::Config | RecordCategory::Alloc | RecordCategory::Modify),
+        ) = func.record
+        {
+            self.record_call(func, category, &req.args, produced, alloc_bytes);
+        }
+        Ok((ret, outputs))
+    }
+
+    /// The handles a call reaches: its handle arguments (deduplicated, in
+    /// parameter order), then their recorded dependency closure — a
+    /// kernel drags in its bound buffers. Returns the set, in the buffer
+    /// `self.reached` keeps, and how many leading entries are arguments.
+    fn reach(&mut self, func: &FunctionDesc, args: &[Value]) -> (Vec<u64>, usize) {
         let mut needed = std::mem::take(&mut self.reached);
         needed.clear();
-        for (param, arg) in func.params.iter().zip(req.args.iter()) {
-            if let Transfer::Handle { .. } = &param.transfer {
-                if let Value::Handle(wire) = arg {
-                    if !needed.contains(wire) {
-                        needed.push(*wire);
-                    }
+        for (param, arg) in func.params.iter().zip(args.iter()) {
+            if let (Transfer::Handle { .. }, Value::Handle(wire)) = (&param.transfer, arg) {
+                if !needed.contains(wire) {
+                    needed.push(*wire);
                 }
             }
         }
         let arg_count = needed.len();
         let mut i = 0;
         while i < needed.len() {
-            if let Some(refs) = self.deps.get(&needed[i]) {
-                for &r in refs {
+            if let Some(entry) = self.handles.get(needed[i]) {
+                for &r in &entry.deps {
                     if !needed.contains(&r) {
                         needed.push(r);
                     }
@@ -714,120 +733,60 @@ impl ApiServer {
             }
             i += 1;
         }
-        for &wire in &needed[arg_count..] {
-            self.touch(wire);
-        }
-        for &wire in &needed {
-            if self.handles.is_swapped(wire) {
-                if let Some(mm) = self.memory.clone() {
-                    let bytes = self.mem_sizes.get(&wire).copied().unwrap_or(0);
-                    let mut evictions = 0;
-                    while mm.over_capacity(bytes) && evictions < 64 {
-                        if !self.swap_out_one_victim_excluding(&needed)? {
-                            break;
-                        }
-                        evictions += 1;
-                    }
-                }
-                self.swap_in(wire)?;
-            }
-        }
-        self.reached = needed;
+        (needed, arg_count)
+    }
 
-        let silo_args = self.translate_args(func, &req.args)?;
-
-        // Dispatch, with OOM-triggered swap-out retries for allocations.
-        // The handler lock is held per attempt, not across the eviction
-        // loop: swap-out re-enters the handler and the mutex is not
-        // reentrant.
-        let (mut out, mut oom) = self.dispatch(func, &silo_args)?;
+    /// Dispatches `func`, taking the handler lock once per attempt — not
+    /// across the eviction loop: swap-out re-enters the handler and the
+    /// mutex is not reentrant. On device OOM it evicts the
+    /// least-recently-used victim outside `pinned` and retries, at most
+    /// [`MAX_EVICTIONS`] times; the last output is returned either way.
+    fn dispatch_evicting(
+        &mut self,
+        func: &FunctionDesc,
+        args: &[Value],
+        pinned: &[u64],
+    ) -> Result<HandlerOutput> {
         let mut evictions = 0;
-        while oom && evictions < 64 {
-            if !self.swap_out_one_victim()? {
+        loop {
+            let out = {
+                let mut handler = self.handler.lock();
+                let out = handler.dispatch(func, args)?;
+                if !handler.ret_indicates_oom(func, &out.ret) {
+                    return Ok(out);
+                }
+                out
+            };
+            if evictions == MAX_EVICTIONS || !self.evict_lru(pinned)? {
+                return Ok(out);
+            }
+            evictions += 1;
+        }
+    }
+
+    /// Proactive LRU eviction: evicts victims outside `pinned` until
+    /// `bytes` more fit under the device's resident capacity. Only this
+    /// VM's objects are eligible; if the pressure comes from a neighbour
+    /// on a shared slot, device OOM in `dispatch_evicting` remains the
+    /// backstop. The ceiling is soft: when only pinned (or no) candidates
+    /// remain, the call proceeds over it and later calls drain the excess.
+    fn make_room(&mut self, bytes: u64, pinned: &[u64]) -> Result<()> {
+        let mut evictions = 0;
+        while evictions < MAX_EVICTIONS && self.memory.over_capacity(bytes) {
+            if !self.evict_lru(pinned)? {
                 break;
             }
             evictions += 1;
-            (out, oom) = self.dispatch(func, &silo_args)?;
         }
-
-        // Translate handle outputs to wire handles.
-        let destroyed = out.destroyed;
-        let (ret, outputs, produced) = self.translate_outputs(func, out)?;
-
-        let call_succeeded = match (&func.ret, &ret) {
-            (RetDesc::Status { success, .. }, v) => v.as_i64() == Some(*success),
-            (RetDesc::Handle { .. }, Value::Null) => false,
-            _ => true,
-        };
-
-        if call_succeeded {
-            // Deallocations: retire handle-table entries and cancel
-            // records — unless the handler reported the object survived
-            // (refcounted releases).
-            for (param, arg) in func.params.iter().zip(req.args.iter()) {
-                let deallocates = matches!(
-                    &param.transfer,
-                    Transfer::Handle {
-                        deallocates: true,
-                        ..
-                    }
-                ) && destroyed.unwrap_or(true);
-                if deallocates {
-                    if let Value::Handle(wire) = arg {
-                        self.handles.remove(*wire);
-                        self.records.cancel_for_handle(*wire);
-                        self.mem_sizes.remove(wire);
-                        self.last_use.remove(wire);
-                        self.deps.remove(wire);
-                        // Residency accounting must not outlive the
-                        // object: releases (including refcounted releases
-                        // that really destroy) retire the buffer's bytes.
-                        if let Some(mm) = &self.memory {
-                            mm.free(self.mem_vm, *wire);
-                        }
-                    }
-                }
-            }
-
-            // Record for migration.
-            match func.record {
-                Some(RecordCategory::Config)
-                | Some(RecordCategory::Alloc)
-                | Some(RecordCategory::Modify) => {
-                    let category = func.record.expect("checked above");
-                    if category == RecordCategory::Alloc {
-                        if let Some((wire, _)) = produced.first() {
-                            if let Some(bytes) = alloc_bytes {
-                                self.mem_sizes.insert(*wire, bytes);
-                                if let Some(mm) = &self.memory {
-                                    mm.alloc(self.mem_vm, *wire, bytes);
-                                }
-                            }
-                        }
-                    }
-                    if category == RecordCategory::Modify {
-                        self.note_deps(func, &req.args);
-                    }
-                    self.records
-                        .record(req.fn_id, req.args.clone(), category, produced);
-                }
-                Some(RecordCategory::Dealloc) | None => {}
-            }
-        }
-
-        Ok((ret, outputs))
+        Ok(())
     }
 
-    /// One dispatch under one handler lock: the output plus whether it
-    /// reports device OOM.
-    fn dispatch(&self, func: &FunctionDesc, args: &[Value]) -> Result<(HandlerOutput, bool)> {
-        let mut handler = self.handler.lock();
-        let out = handler.dispatch(func, args)?;
-        let oom = handler.ret_indicates_oom(func, &out.ret);
-        Ok((out, oom))
-    }
-
-    fn estimate_mem(&self, func: &FunctionDesc, args: &[Value]) -> Option<u64> {
+    /// Estimated device bytes of a `record(alloc)` call, from its
+    /// `resource(device_mem, ...)` annotation.
+    fn alloc_bytes(&self, func: &FunctionDesc, args: &[Value]) -> Option<u64> {
+        if func.record != Some(RecordCategory::Alloc) {
+            return None;
+        }
         let env = self.desc.env_for(func, args);
         for res in &func.resources {
             if res.resource == "device_mem" {
@@ -889,23 +848,38 @@ impl ApiServer {
         Ok(out)
     }
 
-    /// Translates handler outputs (silo handles) back to wire form;
-    /// returns `(ret, outputs, produced)` where `produced` lists every
-    /// minted wire handle with its kind, in canonical order (return value
-    /// first, then outputs in parameter order, list elements in sequence).
+    /// Translates handler outputs (silo handles) back to wire form and
+    /// returns `(ret, outputs, produced)`. A guest call (`rebind: None`)
+    /// mints a fresh wire handle per produced silo handle; image replay
+    /// passes the record's `produced` list, whose original wire handles
+    /// are re-bound in order, and the dispatch must have produced exactly
+    /// as many.
     fn translate_outputs(
         &mut self,
         func: &FunctionDesc,
         out: HandlerOutput,
+        rebind: Option<&[(u64, String)]>,
     ) -> Result<TranslatedOutputs> {
-        let mut produced: Vec<(u64, String)> = Vec::new();
+        let mut produced: Produced = Vec::new();
+        let mut seen = 0;
+        let handles = &mut self.handles;
+        let mut wire_for = |kind: &String, silo: u64| {
+            let wire = match rebind {
+                None => {
+                    let wire = handles.insert(kind, silo);
+                    produced.push((wire, kind.clone()));
+                    wire
+                }
+                Some(original) => original.get(seen).map_or(0, |(wire, kind)| {
+                    handles.bind(*wire, kind, silo);
+                    *wire
+                }),
+            };
+            seen += 1;
+            wire
+        };
         let ret = match (&func.ret, out.ret) {
-            (RetDesc::Handle { kind }, Value::Handle(silo)) => {
-                let wire = self.handles.insert(kind, silo);
-                produced.push((wire, kind.clone()));
-                Value::Handle(wire)
-            }
-            (RetDesc::Handle { .. }, Value::Null) => Value::Null,
+            (RetDesc::Handle { kind }, Value::Handle(silo)) => Value::Handle(wire_for(kind, silo)),
             (_, other) => other,
         };
         let mut outputs = Vec::with_capacity(out.outputs.len());
@@ -920,36 +894,62 @@ impl ApiServer {
                         ..
                     },
                     Value::Handle(silo),
-                ) => {
-                    let wire = self.handles.insert(kind, silo);
-                    produced.push((wire, kind.clone()));
-                    Value::Handle(wire)
-                }
+                ) => Value::Handle(wire_for(kind, silo)),
                 (
                     Transfer::Buffer {
                         elem: ElemKind::Handle { kind },
                         ..
                     },
                     Value::List(items),
-                ) => {
-                    let mut translated = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item {
-                            Value::Handle(silo) => {
-                                let wire = self.handles.insert(kind, silo);
-                                produced.push((wire, kind.clone()));
-                                translated.push(Value::Handle(wire));
-                            }
-                            other => translated.push(other),
-                        }
-                    }
-                    Value::List(translated)
-                }
+                ) => Value::List(
+                    items
+                        .into_iter()
+                        .map(|item| match item {
+                            Value::Handle(silo) => Value::Handle(wire_for(kind, silo)),
+                            other => other,
+                        })
+                        .collect(),
+                ),
                 (_, other) => other,
             };
             outputs.push((idx, translated));
         }
+        if let Some(original) = rebind {
+            if seen != original.len() {
+                return Err(ServerError::Replay(format!(
+                    "replaying `{}` produced {seen} handle(s), original produced {}",
+                    func.name,
+                    original.len()
+                )));
+            }
+            produced = original.to_vec();
+        }
         Ok((ret, outputs, produced))
+    }
+
+    /// The record step of a succeeded `record(config|alloc|modify)` call,
+    /// executed or replayed from an image: an allocation's estimated bytes
+    /// go on its handle entry and to the accountant, a modify call's
+    /// references are learned, and the call joins the record log.
+    fn record_call(
+        &mut self,
+        func: &FunctionDesc,
+        category: RecordCategory,
+        args: &[Value],
+        produced: Produced,
+        alloc_bytes: Option<u64>,
+    ) {
+        if let (Some((wire, _)), Some(bytes)) = (produced.first(), alloc_bytes) {
+            if let Some(entry) = self.handles.get_mut(*wire) {
+                entry.bytes = Some(bytes);
+            }
+            self.memory.alloc(self.mem_vm, *wire, bytes);
+        }
+        if category == RecordCategory::Modify {
+            self.note_deps(func, args);
+        }
+        self.records
+            .record(func.id, args.to_vec(), category, produced);
     }
 
     /// Learns object→object references from a modify-record call: the
@@ -966,9 +966,10 @@ impl ApiServer {
                 match referrer {
                     None => referrer = Some(*wire),
                     Some(holder) => {
-                        let refs = self.deps.entry(holder).or_default();
-                        if !refs.contains(wire) {
-                            refs.push(*wire);
+                        if let Some(entry) = self.handles.get_mut(holder) {
+                            if !entry.deps.contains(wire) {
+                                entry.deps.push(*wire);
+                            }
                         }
                     }
                 }
@@ -978,50 +979,44 @@ impl ApiServer {
 
     fn touch(&mut self, wire: u64) {
         self.use_clock += 1;
-        self.last_use.insert(wire, self.use_clock);
+        if let Some(entry) = self.handles.get_mut(wire) {
+            entry.last_use = self.use_clock;
+        }
     }
 
     // ---- Buffer-granularity swapping (§4.3) -----------------------------
 
-    /// Swaps out the least-recently-used swappable object. Returns false
-    /// if no victim exists.
-    pub fn swap_out_one_victim(&mut self) -> Result<bool> {
-        self.swap_out_one_victim_excluding(&[])
+    /// Swaps out the least-recently-used swappable object.
+    #[cfg(test)]
+    pub(crate) fn swap_out_one_victim(&mut self) -> Result<bool> {
+        self.evict_lru(&[])
     }
 
-    /// [`ApiServer::swap_out_one_victim`], but never victimizing `pinned`
-    /// wires — the objects the in-flight call is about to dispatch on.
-    /// Without the pin, a call whose working set exceeds the resident
-    /// capacity could evict a buffer it faulted in moments earlier and
-    /// dispatch against a hole. Returns false when only pinned (or no)
-    /// candidates remain; the capacity ceiling is soft, so the caller
-    /// simply proceeds over it and lets later calls drain the excess.
-    fn swap_out_one_victim_excluding(&mut self, pinned: &[u64]) -> Result<bool> {
-        let kinds: Vec<String> = self
-            .handler
-            .lock()
-            .swappable_kinds()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut victim: Option<(u64, String)> = None;
-        let mut best_clock = u64::MAX;
-        for kind in &kinds {
-            for wire in self.handles.live_of_kind(kind) {
-                // Only objects we can recreate (tracked alloc) are eligible.
-                if self.records.alloc_record_for(wire).is_none() {
-                    continue;
-                }
-                if pinned.contains(&wire) {
-                    continue;
-                }
-                let clock = self.last_use.get(&wire).copied().unwrap_or(0);
-                if clock < best_clock {
-                    best_clock = clock;
-                    victim = Some((wire, kind.clone()));
-                }
-            }
-        }
+    /// Swaps out the least-recently-used swappable object outside
+    /// `pinned`, the objects the in-flight call is about to dispatch on.
+    /// Without the pin, a call whose working set exceeds the device could
+    /// evict a buffer it faulted in moments earlier and dispatch against a
+    /// hole. Returns false when only pinned (or no) candidates remain.
+    fn evict_lru(&mut self, pinned: &[u64]) -> Result<bool> {
+        let victim = {
+            let handler = self.handler.lock();
+            let kinds = handler.swappable_kinds();
+            // Ties (never-used objects) go to the earliest swappable kind,
+            // then the lowest wire handle.
+            self.handles
+                .iter()
+                .filter_map(|(wire, e)| {
+                    let rank = kinds.iter().position(|k| *k == e.kind)?;
+                    // Only objects we can recreate (tracked alloc) are
+                    // eligible.
+                    let eligible = matches!(e.state, HandleState::Live(_))
+                        && !pinned.contains(&wire)
+                        && self.records.alloc_record_for(wire).is_some();
+                    eligible.then_some((e.last_use, rank, wire, &e.kind))
+                })
+                .min()
+                .map(|(_, _, wire, kind)| (wire, kind.clone()))
+        };
         let Some((wire, kind)) = victim else {
             return Ok(false);
         };
@@ -1031,7 +1026,7 @@ impl ApiServer {
 
     /// Swaps out a specific object: snapshot payload, free the device
     /// object, park the payload host-side.
-    pub fn swap_out(&mut self, wire: u64, kind: &str) -> Result<()> {
+    pub(crate) fn swap_out(&mut self, wire: u64, kind: &str) -> Result<()> {
         let silo = self.handles.to_silo(wire, kind)?;
         let data = {
             let mut handler = self.handler.lock();
@@ -1043,19 +1038,11 @@ impl ApiServer {
             }
             data
         };
-        let bytes = self
-            .mem_sizes
-            .get(&wire)
-            .copied()
-            .unwrap_or(data.len() as u64);
+        let bytes = self.est_bytes(wire).unwrap_or(data.len() as u64);
         // Park the payload through the memory manager so identical
         // content (same digest) swapped by any VM on this device is held
         // once, and residency accounting moves the bytes host-side.
-        let data = Arc::new(data);
-        let data = match &self.memory {
-            Some(mm) => mm.note_evicted(self.mem_vm, wire, data),
-            None => data,
-        };
+        let data = self.memory.note_evicted(self.mem_vm, wire, Arc::new(data));
         self.handles.mark_swapped(wire, data)?;
         self.counters.swap_outs.inc();
         self.telemetry
@@ -1063,34 +1050,35 @@ impl ApiServer {
         Ok(())
     }
 
-    /// Swaps an object back in by replaying its allocation call and
-    /// restoring the parked payload.
-    pub fn swap_in(&mut self, wire: u64) -> Result<()> {
-        let record = self
+    /// Swaps an object back in with nothing pinned.
+    #[cfg(test)]
+    pub(crate) fn swap_in(&mut self, wire: u64) -> Result<()> {
+        self.fault_in(wire, &[])
+    }
+
+    /// Swaps an object back in: replays its allocation call and restores
+    /// the parked payload. It runs under the same capacity pressure a
+    /// fresh allocation faces — without eviction here, one scan over an
+    /// overcommitted working set would end fully resident — and neither
+    /// that nor the re-allocation's device OOM ever victimizes `pinned`.
+    fn fault_in(&mut self, wire: u64, pinned: &[u64]) -> Result<()> {
+        let bytes = self.est_bytes(wire);
+        self.make_room(bytes.unwrap_or(0), pinned)?;
+        let (fn_id, args) = self
             .records
             .alloc_record_for(wire)
-            .cloned()
+            .map(|r| (r.fn_id, r.args.clone()))
             .ok_or_else(|| ServerError::Swap(format!("no alloc record for {wire:#x}")))?;
-        let func = self
-            .desc
-            .by_id(record.fn_id)
-            .cloned()
-            .ok_or(ServerError::UnknownFunction(record.fn_id))?;
-        let silo_args = self.translate_args(&func, &record.args)?;
-        // Re-allocation may itself hit device OOM; evict other victims
-        // until it fits (the wire handle being swapped in is not live and
-        // therefore never selected as its own victim).
-        let (mut out, mut oom) = self.dispatch(&func, &silo_args)?;
-        let mut evictions = 0;
-        while oom && evictions < 64 {
-            if !self.swap_out_one_victim()? {
-                break;
-            }
-            evictions += 1;
-            (out, oom) = self.dispatch(&func, &silo_args)?;
-        }
-        let (kind, silo) = match (&func.ret, &out.ret) {
-            (RetDesc::Handle { kind }, Value::Handle(silo)) => (kind.clone(), *silo),
+        let desc = Arc::clone(&self.desc);
+        let func = desc
+            .by_id(fn_id)
+            .ok_or(ServerError::UnknownFunction(fn_id))?;
+        let silo_args = self.translate_args(func, &args)?;
+        // The wire handle being faulted in is not live and therefore never
+        // its own victim.
+        let out = self.dispatch_evicting(func, &silo_args, pinned)?;
+        let (kind, silo) = match (&func.ret, out.ret) {
+            (RetDesc::Handle { kind }, Value::Handle(silo)) => (kind, silo),
             _ => {
                 return Err(ServerError::Swap(format!(
                     "replayed allocation for {wire:#x} returned no handle"
@@ -1098,23 +1086,25 @@ impl ApiServer {
             }
         };
         let data = self.handles.mark_live(wire, silo)?;
-        if !self.handler.lock().restore_object(&kind, silo, &data) {
+        if !self.handler.lock().restore_object(kind, silo, &data) {
             return Err(ServerError::Swap(format!(
                 "payload restore failed for {wire:#x}"
             )));
         }
-        if let Some(mm) = &self.memory {
-            mm.note_faulted(self.mem_vm, wire);
-        }
+        self.memory.note_faulted(self.mem_vm, wire);
         self.counters.swap_ins.inc();
-        let bytes = self
-            .mem_sizes
-            .get(&wire)
-            .copied()
-            .unwrap_or(data.len() as u64);
-        self.telemetry
-            .event(Tier::Server, EventKind::FaultIn, 0, bytes);
+        self.telemetry.event(
+            Tier::Server,
+            EventKind::FaultIn,
+            0,
+            bytes.unwrap_or(data.len() as u64),
+        );
         Ok(())
+    }
+
+    /// The estimated device bytes of `wire`, if it has an estimate.
+    fn est_bytes(&self, wire: u64) -> Option<u64> {
+        self.handles.get(wire).and_then(|e| e.bytes)
     }
 
     // ---- VM migration (§4.3) ---------------------------------------------
@@ -1147,23 +1137,14 @@ impl ApiServer {
     /// Tears down every tracked device object (the source side of a
     /// migration frees device resources after snapshotting).
     pub fn teardown(&mut self) {
-        let live: Vec<(String, u64)> = self
-            .handles
-            .entries()
-            .into_iter()
-            .filter_map(|(_, entry)| match entry.state {
-                HandleState::Live(silo) => Some((entry.kind.clone(), silo)),
-                HandleState::Swapped { .. } => None,
-            })
-            .collect();
         let mut handler = self.handler.lock();
-        for (kind, silo) in live {
-            handler.drop_object(&kind, silo);
+        for (_, entry) in self.handles.entries() {
+            if let HandleState::Live(silo) = entry.state {
+                handler.drop_object(&entry.kind, silo);
+            }
         }
         drop(handler);
-        if let Some(mm) = &self.memory {
-            mm.free_all(self.mem_vm);
-        }
+        self.memory.free_all(self.mem_vm);
     }
 
     /// Reconstructs a server on a (possibly different) host by replaying
@@ -1189,68 +1170,32 @@ impl ApiServer {
     /// Replays `image` into this (empty) server: records first, then
     /// buffer payloads, then the at-most-once state.
     fn replay_image(&mut self, image: &MigrationImage) -> Result<()> {
+        let desc = Arc::clone(&self.desc);
         for record in &image.records {
-            let func = self
-                .desc
+            let func = desc
                 .by_id(record.fn_id)
-                .cloned()
                 .ok_or(ServerError::UnknownFunction(record.fn_id))?;
-            let silo_args = self.translate_args(&func, &record.args)?;
-            let out = self.handler.lock().dispatch(&func, &silo_args)?;
-            // Collect the silo handles the replayed call produced, in the
-            // same canonical order the original recording used, and
-            // re-bind the guest's original wire handles to them.
-            let new_silos = collect_produced_silos(&func, &out);
-            if new_silos.len() != record.produced.len() {
-                return Err(ServerError::Replay(format!(
-                    "replaying `{}` produced {} handle(s), original produced {}",
-                    func.name,
-                    new_silos.len(),
-                    record.produced.len()
-                )));
-            }
-            for ((wire, kind), silo) in record.produced.iter().zip(new_silos) {
-                self.handles.bind(*wire, kind, silo);
-            }
-            if record.category == RecordCategory::Alloc {
-                if let Some((wire, _)) = record.produced.first() {
-                    if let Some(bytes) = self.estimate_mem(&func, &record.args) {
-                        self.mem_sizes.insert(*wire, bytes);
-                    }
-                }
-            }
-            if record.category == RecordCategory::Modify {
-                self.note_deps(&func, &record.args);
-            }
-            self.records.record(
-                record.fn_id,
-                record.args.clone(),
-                record.category,
-                record.produced.clone(),
-            );
+            let silo_args = self.translate_args(func, &record.args)?;
+            // A plain dispatch, no eviction: a restore onto a device too
+            // small for the image must fail and free what it created.
+            let out = self.handler.lock().dispatch(func, &silo_args)?;
+            let (_, _, produced) = self.translate_outputs(func, out, Some(&record.produced))?;
+            let alloc_bytes = self.alloc_bytes(func, &record.args);
+            self.record_call(func, record.category, &record.args, produced, alloc_bytes);
         }
-        // Restore payloads.
         for (wire, data) in &image.buffers {
-            let entry = self
-                .handles
-                .get(*wire)
-                .cloned()
-                .ok_or(ServerError::Replay(format!(
-                    "image has payload for untracked handle {wire:#x}"
-                )))?;
-            match entry.state {
-                HandleState::Live(silo) => {
-                    if !self.handler.lock().restore_object(&entry.kind, silo, data) {
-                        return Err(ServerError::Replay(format!(
-                            "payload restore failed for {wire:#x}"
-                        )));
-                    }
-                }
-                HandleState::Swapped { .. } => {
-                    return Err(ServerError::Replay(format!(
-                        "handle {wire:#x} unexpectedly swapped during restore"
-                    )))
-                }
+            let entry = self.handles.get(*wire).ok_or(ServerError::Replay(format!(
+                "image has payload for untracked handle {wire:#x}"
+            )))?;
+            let HandleState::Live(silo) = entry.state else {
+                return Err(ServerError::Replay(format!(
+                    "handle {wire:#x} unexpectedly swapped during restore"
+                )));
+            };
+            if !self.handler.lock().restore_object(&entry.kind, silo, data) {
+                return Err(ServerError::Replay(format!(
+                    "payload restore failed for {wire:#x}"
+                )));
             }
         }
         // Carry the at-most-once state across the migration so guest
@@ -1259,40 +1204,4 @@ impl ApiServer {
         self.highwater = image.highwater;
         Ok(())
     }
-}
-
-/// Walks a handler output in canonical order (return value first, then
-/// outputs in parameter order, list elements in sequence), collecting
-/// every silo handle it produced.
-fn collect_produced_silos(func: &FunctionDesc, out: &HandlerOutput) -> Vec<u64> {
-    let mut silos = Vec::new();
-    if let (RetDesc::Handle { .. }, Value::Handle(silo)) = (&func.ret, &out.ret) {
-        silos.push(*silo);
-    }
-    for (idx, value) in &out.outputs {
-        match (func.params.get(*idx as usize).map(|p| &p.transfer), value) {
-            (
-                Some(Transfer::OutElement {
-                    elem: ElemKind::Handle { .. },
-                    ..
-                }),
-                Value::Handle(silo),
-            ) => silos.push(*silo),
-            (
-                Some(Transfer::Buffer {
-                    elem: ElemKind::Handle { .. },
-                    ..
-                }),
-                Value::List(items),
-            ) => {
-                for item in items {
-                    if let Value::Handle(silo) = item {
-                        silos.push(*silo);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    silos
 }

@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Number of power-of-two buckets; covers the full `u64` range.
 pub const BUCKETS: usize = 64;
@@ -73,11 +72,6 @@ impl Histogram {
         inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(value, Ordering::Relaxed);
         inner.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Non-destructive snapshot.

@@ -119,8 +119,6 @@ struct WindowState {
     burn: BTreeMap<(SloSubject, SloObjective), u64>,
     /// Latest evaluation's violations.
     violations: Vec<SloViolation>,
-    /// Windows evaluated so far.
-    windows: u64,
 }
 
 /// Evaluates SLO objectives over consecutive registry scrapes.
@@ -195,18 +193,12 @@ impl SloMonitor {
             .clone()
     }
 
-    /// Number of windows evaluated so far.
-    pub fn windows_evaluated(&self) -> u64 {
-        self.state.lock().expect("slo monitor poisoned").windows
-    }
-
     /// Evaluates one window. `placements` maps each live VM to its pool
     /// slot (empty when the stack runs without a pool) — it scopes the
     /// per-slot aggregation. Returns the violations found this window.
     pub fn evaluate(&self, placements: &[(u32, usize)]) -> Vec<SloViolation> {
         let snapshot = self.registry.snapshot();
         let mut state = self.state.lock().expect("slo monitor poisoned");
-        state.windows += 1;
         let mut breaches: Vec<(SloSubject, SloObjective, f64, f64)> = Vec::new();
 
         // Windowed per-VM e2e latency histograms, and their per-slot
