@@ -44,8 +44,8 @@ REQUIRED_FAMILIES = {
 }
 
 # One family per metric set the pool scenario's stack registers (guest,
-# router, overload, server, transport, recovery): a set that stops
-# registering fails the trace+prom mode. The avad scrape (--prom) checks
+# router, overload, server, transport, recovery, payload store): a set
+# that stops registering fails the trace+prom mode. The avad scrape (--prom) checks
 # its own front-door family instead.
 METRIC_SET_FAMILIES = {
     "ava_guest_vm_sync_calls_total",
@@ -54,6 +54,7 @@ METRIC_SET_FAMILIES = {
     "ava_server_vm_calls_total",
     "ava_transport_vm_guest_messages_sent_total",
     "ava_recovery_respawns_total",
+    "ava_payload_pool_hits_total",
 }
 
 SAMPLE_RE = re.compile(

@@ -5,18 +5,63 @@
 //!
 //! See `compat/README.md` for why these shims exist. Semantics
 //! match the real crate for the covered surface: `Bytes::clone`, `slice`,
-//! and `split_to` are O(1) views over shared storage; `Buf` getters panic
-//! on underflow (callers bounds-check with `remaining()` first).
+//! and `split_to` are O(1) views over shared storage, which
+//! [`Bytes::from_owner`] lets any byte container provide; `Buf` getters
+//! panic on underflow (callers bounds-check with `remaining()` first).
 
 use std::ops::{Bound, RangeBounds};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// A cheaply cloneable, contiguous, immutable slice of bytes.
-#[derive(Clone, Default)]
+///
+/// A view is a pointer and a length into memory that its shared storage
+/// keeps alive, so `Deref` reads no storage at all.
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
+    ptr: NonNull<u8>,
+    len: usize,
+    /// `None` for empty and `'static` views, which own nothing.
+    storage: Option<Arc<Storage>>,
+}
+
+/// The memory behind every view of one [`Bytes`]: a vector it took over,
+/// or a [`Bytes::from_owner`] owner, dropped with the last view.
+/// Neither is read after construction: views hold their own pointer.
+enum Storage {
+    Vec { _data: Vec<u8> },
+    Owner { _owner: Box<dyn Send> },
+}
+
+// SAFETY: views read their bytes through their own pointer and never
+// through a `&Storage`; sharing a `Storage` across threads therefore only
+// ever lets the last view drop it, which `Send` already permits.
+unsafe impl Sync for Storage {}
+
+// SAFETY: the bytes a view points at are immutable and kept alive by its
+// `Storage`, which is `Send + Sync`; a `'static` view points at static
+// memory.
+unsafe impl Send for Bytes {}
+// SAFETY: as for `Send`: shared access only ever reads immutable bytes.
+unsafe impl Sync for Bytes {}
+
+impl Clone for Bytes {
+    fn clone(&self) -> Self {
+        Bytes {
+            ptr: self.ptr,
+            len: self.len,
+            storage: self.storage.clone(),
+        }
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes {
+            ptr: NonNull::dangling(),
+            len: 0,
+            storage: None,
+        }
+    }
 }
 
 impl Bytes {
@@ -25,18 +70,42 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copies a static slice into shared storage. (The real crate borrows
-    /// it zero-copy; the copy here is semantically equivalent.)
+    /// A view of static memory; allocates nothing.
     pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            ptr: NonNull::from(data).cast(),
+            len: data.len(),
+            storage: None,
+        }
+    }
+
+    /// A view of the bytes `owner` holds, without copying them. `owner` is
+    /// dropped exactly once, when the last view of it (every `clone`,
+    /// `slice` and `split_to` included) drops. Mirrors `bytes` 1.9.
+    ///
+    /// `owner.as_ref()` is read once, here, and must keep pointing at the
+    /// same bytes for as long as `owner` lives, as the real crate assumes.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + 'static,
+    {
+        // Box first, so bytes stored inside `T` itself stop moving.
+        let owner = Box::new(owner);
+        let data = (*owner).as_ref();
+        let (ptr, len) = (NonNull::from(data).cast(), data.len());
+        Bytes {
+            ptr,
+            len,
+            storage: Some(Arc::new(Storage::Owner { _owner: owner })),
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// A sub-view of `self`; shares storage.
@@ -56,37 +125,49 @@ impl Bytes {
             "slice range {lo}..{hi} out of bounds for length {}",
             self.len()
         );
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
+        let mut view = self.clone();
+        view.skip(lo);
+        view.len = hi - lo;
+        view
     }
 
     /// Splits off and returns the first `at` bytes; `self` keeps the rest.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to({at}) out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
+        let mut head = self.clone();
+        head.len = at;
+        self.skip(at);
         head
     }
 
+    /// Drops the first `cnt` bytes from the view.
+    fn skip(&mut self, cnt: usize) {
+        assert!(cnt <= self.len, "advance({cnt}) out of bounds");
+        // SAFETY: `cnt <= len` (asserted), so the result stays inside (or
+        // one past the end of) the memory this view covers.
+        self.ptr = unsafe { self.ptr.add(cnt) };
+        self.len -= cnt;
+    }
+
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: `ptr..ptr + len` lies in immutable memory that `storage`
+        // (or `'static`) keeps alive for as long as `self` exists.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        let end = data.len();
+        if data.is_empty() {
+            return Bytes::new();
+        }
+        // The vector's heap buffer does not move with the vector.
+        let ptr = NonNull::from(data.as_slice()).cast();
+        let len = data.len();
         Bytes {
-            data: Arc::new(data),
-            start: 0,
-            end,
+            ptr,
+            len,
+            storage: Some(Arc::new(Storage::Vec { _data: data })),
         }
     }
 }
@@ -283,8 +364,7 @@ impl Buf for Bytes {
     }
 
     fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance({cnt}) out of bounds");
-        self.start += cnt;
+        self.skip(cnt);
     }
 
     fn chunk(&self) -> &[u8] {
@@ -388,6 +468,94 @@ mod tests {
         assert_eq!(&head[..], &[0, 1]);
         assert_eq!(&rest[..], &[2, 3, 4, 5]);
         assert_eq!(b.len(), 6);
+    }
+
+    /// An owner that counts its drops.
+    struct Counted {
+        data: Vec<u8>,
+        drops: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl AsRef<[u8]> for Counted {
+        fn as_ref(&self) -> &[u8] {
+            &self.data
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    fn counted(data: Vec<u8>) -> (Bytes, Arc<std::sync::atomic::AtomicUsize>) {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let owner = Counted {
+            data,
+            drops: Arc::clone(&drops),
+        };
+        (Bytes::from_owner(owner), drops)
+    }
+
+    fn drops_of(drops: &std::sync::atomic::AtomicUsize) -> usize {
+        drops.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    #[test]
+    fn owner_drops_once_after_its_last_view() {
+        let (b, drops) = counted(vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        let clone = b.clone();
+        let slice = b.slice(2..6);
+        let mut rest = b.clone();
+        let head = rest.split_to(3);
+        drop(b);
+        assert_eq!(&clone[..], &[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(&slice[..], &[2, 3, 4, 5]);
+        assert_eq!(&head[..], &[0, 1, 2]);
+        assert_eq!(&rest[..], &[3, 4, 5, 6, 7]);
+        for view in [clone, slice, head] {
+            drop(view);
+            assert_eq!(drops_of(&drops), 0, "a view is still alive");
+        }
+        drop(rest);
+        assert_eq!(drops_of(&drops), 1);
+    }
+
+    #[test]
+    fn owner_drops_once_when_views_die_on_other_threads() {
+        let (b, drops) = counted((0..=255).collect());
+        let threads: Vec<_> = (0..4)
+            .map(|i| {
+                let mut view = b.slice(i * 64..);
+                std::thread::spawn(move || {
+                    let head = view.split_to(64);
+                    assert_eq!(head[0], (i * 64) as u8);
+                    assert_eq!(view.len(), 256 - (i + 1) * 64);
+                })
+            })
+            .collect();
+        drop(b);
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(drops_of(&drops), 1);
+    }
+
+    #[test]
+    fn owner_bytes_stored_inline_survive_the_move_into_bytes() {
+        let mut b = Bytes::from_owner([9u8, 8, 7, 6]);
+        assert_eq!(&b[..], &[9, 8, 7, 6]);
+        assert_eq!(b.get_u8(), 9);
+        assert_eq!(b.slice(1..), Bytes::from(vec![7u8, 6]));
+    }
+
+    #[test]
+    fn empty_and_static_views_behave_like_vec_backed_ones() {
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::from(Vec::new()), Bytes::new());
+        let s = Bytes::from_static(b"static");
+        assert_eq!(s.slice(1..3), Bytes::from(b"ta".to_vec()));
+        assert_eq!(Bytes::from_owner(Vec::<u8>::new()), Bytes::new());
     }
 
     #[test]

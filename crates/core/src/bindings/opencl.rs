@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use ava_server::{ApiHandler, HandlerOutput, Result, ServerError};
 use ava_spec::FunctionDesc;
-use ava_wire::Value;
+use ava_wire::{fill_payload, Value};
 use simcl::status::{CL_INVALID_VALUE, CL_MEM_OBJECT_ALLOCATION_FAILURE, CL_SUCCESS};
 use simcl::types::*;
 use simcl::{ClApi, ClError, SimCl};
@@ -654,13 +654,14 @@ impl ApiHandler for OpenClHandler {
                 let size = uint(args, 4)? as usize;
                 let wait = events(args, 7)?;
                 let want_event = wants(args, 8);
-                let mut data = vec![0u8; size];
-                match cl
-                    .enqueue_read_buffer(queue, mem, blocking, offset, &mut data, &wait, want_event)
-                {
-                    Ok(ev) => {
+                // A successful read overwrites every byte of the payload;
+                // a failed one hands it back to the store unseen.
+                match fill_payload(size, |data| {
+                    cl.enqueue_read_buffer(queue, mem, blocking, offset, data, &wait, want_event)
+                }) {
+                    Ok((data, ev)) => {
                         let mut out = status_ret(CL_SUCCESS);
-                        out.outputs.push((5, Value::Bytes(data.into())));
+                        out.outputs.push((5, Value::Bytes(data)));
                         if let Some(ev) = ev {
                             self.track_new(ev.0);
                             out.outputs.push((8, Value::Handle(ev.0)));

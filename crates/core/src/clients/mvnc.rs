@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use ava_guest::{CallResult, GuestLibrary};
-use ava_wire::{FnId, Value};
+use ava_wire::{copy_payload, FnId, Value};
 use simnc::status::{NcError, NcResult, MVNC_ERROR, MVNC_OK};
 use simnc::{DeviceOption, GraphOption, MvncApi, NcDevice, NcGraph};
 
@@ -95,7 +95,7 @@ impl MvncApi for MvncClient {
             vec![
                 Value::Handle(device.0),
                 WANT,
-                Value::Bytes(graph_blob.to_vec().into()),
+                Value::Bytes(copy_payload(graph_blob)),
                 Value::U32(graph_blob.len() as u32),
             ],
         )?;
@@ -115,7 +115,7 @@ impl MvncApi for MvncClient {
             Nc::LoadTensor,
             vec![
                 Value::Handle(graph.0),
-                Value::Bytes(tensor.to_vec().into()),
+                Value::Bytes(copy_payload(tensor)),
                 Value::U32(tensor.len() as u32),
                 Value::U64(user_param),
             ],

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use ava_guest::{CallResult, GuestLibrary};
-use ava_wire::{FnId, Value};
+use ava_wire::{copy_payload, FnId, Value};
 use simcl::status::{ClError, ClResult, CL_OUT_OF_RESOURCES, CL_SUCCESS};
 use simcl::types::*;
 use simcl::ClApi;
@@ -335,7 +335,7 @@ impl ClApi for OpenClClient {
         host_data: Option<&[u8]>,
     ) -> ClResult<ClMem> {
         let host = match host_data {
-            Some(data) => Value::Bytes(data.to_vec().into()),
+            Some(data) => Value::Bytes(copy_payload(data)),
             None => Value::Null,
         };
         let r = self.call(
@@ -359,7 +359,7 @@ impl ClApi for OpenClClient {
         host_data: Option<&[u8]>,
     ) -> ClResult<ClMem> {
         let host = match host_data {
-            Some(data) => Value::Bytes(data.to_vec().into()),
+            Some(data) => Value::Bytes(copy_payload(data)),
             None => Value::Null,
         };
         let r = self.call(
@@ -640,7 +640,7 @@ impl ClApi for OpenClClient {
                 Value::U32(u32::from(blocking)),
                 Value::U64(offset as u64),
                 Value::U64(data.len() as u64),
-                Value::Bytes(data.to_vec().into()),
+                Value::Bytes(copy_payload(data)),
                 n,
                 list,
                 if want_event { WANT } else { Value::Null },

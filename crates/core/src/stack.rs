@@ -345,11 +345,12 @@ impl ApiStack {
     }
 
     /// Attaches a unified telemetry registry to every tier: router counters
-    /// and span stamps, stack-level `recovery.*` counters, plus
-    /// guest/server/transport instrumentation for each VM attached from now
-    /// on. Call before [`ApiStack::attach_vm`].
+    /// and span stamps, stack-level `recovery.*` counters, the process-wide
+    /// `payload_pool.*` cells, plus guest/server/transport instrumentation
+    /// for each VM attached from now on. Call before [`ApiStack::attach_vm`].
     pub fn set_telemetry(&self, registry: Registry) -> Result<()> {
         self.core.recovery.register(&registry, "recovery");
+        ava_wire::register_payload_pool(&registry);
         if let Some(pool) = &self.core.pool {
             pool.register(&registry);
         }

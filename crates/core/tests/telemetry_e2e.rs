@@ -222,6 +222,8 @@ const GOLDEN_COUNTERS: &[&str] = &[
     "overload.breaker_opens",
     "overload.deadline_drops",
     "overload.sheds",
+    "payload_pool.hits",
+    "payload_pool.misses",
     "recovery.failed",
     "recovery.replayed_calls",
     "recovery.respawns",
@@ -267,6 +269,7 @@ const GOLDEN_GAUGES: &[&str] = &[
     "mem.slot0.resident_bytes",
     "mem.slot0.swapped_bytes",
     "overload.brownout_stage",
+    "payload_pool.retained_bytes",
     "pool.slot0.device_time_ms",
     "pool.slot0.queue_depth",
     "pool.slot0.vms",

@@ -1016,6 +1016,84 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert!(journal.lock().unwrap().call_ids_unique());
     }
 
+    fn read_req(desc: &ApiDescriptor, call_id: u64, h: u64, len: u64) -> CallRequest {
+        CallRequest {
+            call_id,
+            fn_id: desc.by_name("toy_read").unwrap().id,
+            mode: CallMode::Sync,
+            args: vec![Value::Handle(h), Value::Null, Value::U64(len)],
+            budget_us: 0,
+        }
+    }
+
+    #[test]
+    fn a_readback_retried_after_a_crash_is_answered_from_the_recovered_reply_cache() {
+        use ava_transport::{CostModel, TransportKind};
+        use std::sync::Mutex;
+        let desc = toy_descriptor();
+        let journal = Arc::new(Mutex::new(CallJournal::new()));
+        let mut server = ApiServer::new(Arc::clone(&desc), Box::new(ToyHandler::new(1024)));
+        server.set_journal(Arc::clone(&journal));
+        let (client, server_end) =
+            ava_transport::pair(TransportKind::InProcess, CostModel::free()).unwrap();
+        let send = |server: &mut ApiServer, req: CallRequest| {
+            pump(
+                server,
+                server_end.as_ref(),
+                client.as_ref(),
+                ava_wire::Message::Call(req),
+            )
+        };
+
+        let h = send(&mut server, create_req(&desc, 1, 8))[0]
+            .ret
+            .as_handle()
+            .unwrap();
+        send(
+            &mut server,
+            write_req(&desc, 2, h, Value::Bytes(b"before!!".to_vec().into()), 8),
+        );
+        // More sync readbacks than the reply cache holds, then the one the
+        // guest will retry.
+        let last = 3 + record::REPLY_CACHE_CAP as u64;
+        for id in 3..=last {
+            let reps = send(&mut server, read_req(&desc, id, h, 8));
+            assert_eq!(&reps[0].outputs[0].1.as_bytes().unwrap()[..], b"before!!");
+        }
+        // Crash right after the readback executed; its reply never arrived.
+        drop(server);
+
+        let entries = journal.lock().unwrap().entries().to_vec();
+        assert_eq!(entries.len() as u64, last);
+        let with_outputs = entries
+            .iter()
+            .filter(|e| !e.reply.outputs.is_empty())
+            .count();
+        assert_eq!(with_outputs, record::REPLY_CACHE_CAP);
+        assert!(entries[2].reply.outputs.is_empty(), "the oldest readback");
+        assert!(!entries[last as usize - 1].reply.outputs.is_empty());
+
+        let mut fresh = ApiServer::new(Arc::clone(&desc), Box::new(ToyHandler::new(1024)));
+        assert_eq!(fresh.replay_journal(&entries), last);
+        // Device state moves on, so a re-executed read would see new bytes.
+        send(
+            &mut fresh,
+            write_req(
+                &desc,
+                last + 1,
+                h,
+                Value::Bytes(b"after!!!".to_vec().into()),
+                8,
+            ),
+        );
+        let retry = send(&mut fresh, read_req(&desc, last, h, 8));
+        assert_eq!(retry.len(), 1);
+        assert_eq!(retry[0].status, ReplyStatus::Ok);
+        assert_eq!(&retry[0].outputs[0].1.as_bytes().unwrap()[..], b"before!!");
+        assert_eq!(fresh.stats().duplicates_suppressed, 1);
+        assert_eq!(&read_buf(&mut fresh, &desc, h, 8), b"after!!!");
+    }
+
     #[test]
     fn migration_image_carries_dedup_state() {
         use ava_transport::{CostModel, TransportKind};

@@ -7,8 +7,15 @@
 //! reinitialize the device and reallocate objects, restores buffer
 //! contents, and resumes — the Nooks-style object tracking the paper cites.
 
+use std::collections::VecDeque;
+
 use ava_spec::RecordCategory;
-use ava_wire::{CallId, CallReply, CallRequest, FnId, Value};
+use ava_wire::{CallId, CallMode, CallReply, CallRequest, FnId, Value};
+
+/// How many recent sync replies are kept for duplicate suppression. The
+/// guest library serializes sync calls, so a retry can only ever chase the
+/// most recent executions; 64 leaves generous slack for batched traffic.
+pub(crate) const REPLY_CACHE_CAP: usize = 64;
 
 /// One recorded call.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,7 +130,9 @@ pub struct MigrationImage {
 pub struct JournalEntry {
     /// The request exactly as executed (cache references materialized).
     pub request: CallRequest,
-    /// The reply the server produced for it.
+    /// The reply the server produced for it. Its outputs are kept only
+    /// while replay could serve them to a guest retry (see
+    /// [`CallJournal::record`]).
     pub reply: CallReply,
 }
 
@@ -143,6 +152,9 @@ pub struct JournalEntry {
 pub struct CallJournal {
     base: MigrationImage,
     entries: Vec<JournalEntry>,
+    /// Indices of the newest sync entries, at most [`REPLY_CACHE_CAP`]:
+    /// the only ones whose reply outputs are kept.
+    recent_sync: VecDeque<usize>,
 }
 
 impl CallJournal {
@@ -152,7 +164,24 @@ impl CallJournal {
     }
 
     /// Appends one executed call to the suffix.
-    pub fn record(&mut self, request: CallRequest, reply: CallReply) {
+    ///
+    /// Replay re-executes every call, so a reply is journaled only for the
+    /// at-most-once step, which keeps just the newest 64 sync replies
+    /// (the reply cache's capacity) to answer guest retries. Reply outputs (readback bytes
+    /// among them) are therefore kept for those entries only: an async
+    /// entry, or a sync one that falls out of that window, keeps its
+    /// status and return value but drops its outputs.
+    pub fn record(&mut self, request: CallRequest, mut reply: CallReply) {
+        if request.mode == CallMode::Sync {
+            self.recent_sync.push_back(self.entries.len());
+            if self.recent_sync.len() > REPLY_CACHE_CAP {
+                if let Some(old) = self.recent_sync.pop_front() {
+                    self.entries[old].reply.outputs = Vec::new();
+                }
+            }
+        } else {
+            reply.outputs = Vec::new();
+        }
         self.entries.push(JournalEntry { request, reply });
     }
 
@@ -161,6 +190,7 @@ impl CallJournal {
     pub fn rebase(&mut self, image: MigrationImage) {
         self.base = image;
         self.entries.clear();
+        self.recent_sync.clear();
     }
 
     /// The image the suffix replays on top of.

@@ -29,12 +29,7 @@ use crate::error::{Result, ServerError};
 use crate::handler::{shared_handler, ApiHandler, HandlerOutput, SharedHandler};
 use crate::handles::{HandleState, HandleTable};
 use crate::memory::MemoryManager;
-use crate::record::{CallJournal, JournalEntry, MigrationImage, RecordLog};
-
-/// How many recent sync replies are kept for duplicate suppression. The
-/// guest library serializes sync calls, so a retry can only ever chase the
-/// most recent executions; 64 leaves generous slack for batched traffic.
-const REPLY_CACHE_CAP: usize = 64;
+use crate::record::{CallJournal, JournalEntry, MigrationImage, RecordLog, REPLY_CACHE_CAP};
 
 /// Most victims one eviction loop (device OOM or capacity pressure) takes
 /// before giving up and proceeding.

@@ -24,10 +24,16 @@
 //! length) per buffer, and the immutable buffers travel beside it. Plain
 //! [`Message::decode`] rejects the descriptor tag, so a serializing
 //! transport can never be handed a reference.
+//!
+//! Bulk payloads the AvA layers allocate (upload copies, readback outputs)
+//! take their storage from a process-wide recycled store through
+//! [`copy_payload`] and [`fill_payload`], so a transfer reuses memory an
+//! earlier one page-faulted in instead of faulting in its own.
 
 mod cache;
 mod error;
 mod message;
+mod pool;
 mod value;
 
 pub use cache::{digest64, fnv1a64, DigestLru};
@@ -35,6 +41,7 @@ pub use error::WireError;
 pub use message::{
     CallMode, CallReply, CallRequest, ControlMessage, Message, ReplyStatus, MAX_BATCH_CALLS,
 };
+pub use pool::{copy_payload, fill_payload, register_payload_pool};
 pub use value::Value;
 
 /// Result alias for wire-format operations.
