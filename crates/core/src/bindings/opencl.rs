@@ -13,13 +13,15 @@ use ava_spec::FunctionDesc;
 use ava_wire::{fill_payload, Value};
 use simcl::status::{CL_INVALID_VALUE, CL_MEM_OBJECT_ALLOCATION_FAILURE, CL_SUCCESS};
 use simcl::types::*;
-use simcl::{ClApi, ClError, SimCl};
+use simcl::{ClApi, ClError, ClResult, SimCl};
 
-use crate::specs::cl_code as code;
+use super::{done, reply, Args, Entries};
+use crate::specs::{cl_code as code, Cl};
 
 /// The OpenCL handler bound to one `SimCl` instance.
 pub struct OpenClHandler {
     cl: SimCl,
+    entries: Entries<Cl>,
     /// Mirrored reference counts, silo handle → count. The wire handle
     /// table must only retire entries when the object actually dies.
     refs: HashMap<u64, u32>,
@@ -28,8 +30,54 @@ pub struct OpenClHandler {
     mem_info: HashMap<u64, (u64, usize)>,
     /// Internal (non-guest-visible) queue per context, for snapshots.
     internal_queues: HashMap<u64, ClQueue>,
-    /// Status of the most recent create-style call, for OOM detection.
-    last_create_status: i32,
+}
+
+/// The six OpenCL handle kinds, each with the silo's retain and release.
+#[derive(Clone, Copy)]
+enum Kind {
+    Context,
+    Queue,
+    Mem,
+    Program,
+    Kernel,
+    Event,
+}
+
+impl Kind {
+    /// The kind the descriptor calls `name`.
+    fn named(name: &str) -> Option<Kind> {
+        Some(match name {
+            "cl_context" => Kind::Context,
+            "cl_command_queue" => Kind::Queue,
+            "cl_mem" => Kind::Mem,
+            "cl_program" => Kind::Program,
+            "cl_kernel" => Kind::Kernel,
+            "cl_event" => Kind::Event,
+            _ => return None,
+        })
+    }
+
+    fn retain(self, cl: &SimCl, silo: u64) -> ClResult<()> {
+        match self {
+            Kind::Context => cl.retain_context(ClContext(silo)),
+            Kind::Queue => cl.retain_command_queue(ClQueue(silo)),
+            Kind::Mem => cl.retain_mem_object(ClMem(silo)),
+            Kind::Program => cl.retain_program(ClProgram(silo)),
+            Kind::Kernel => cl.retain_kernel(ClKernel(silo)),
+            Kind::Event => cl.retain_event(ClEvent(silo)),
+        }
+    }
+
+    fn release(self, cl: &SimCl, silo: u64) -> ClResult<()> {
+        match self {
+            Kind::Context => cl.release_context(ClContext(silo)),
+            Kind::Queue => cl.release_command_queue(ClQueue(silo)),
+            Kind::Mem => cl.release_mem_object(ClMem(silo)),
+            Kind::Program => cl.release_program(ClProgram(silo)),
+            Kind::Kernel => cl.release_kernel(ClKernel(silo)),
+            Kind::Event => cl.release_event(ClEvent(silo)),
+        }
+    }
 }
 
 impl OpenClHandler {
@@ -37,10 +85,10 @@ impl OpenClHandler {
     pub fn new(cl: SimCl) -> Self {
         OpenClHandler {
             cl,
+            entries: Entries::new(),
             refs: HashMap::new(),
             mem_info: HashMap::new(),
             internal_queues: HashMap::new(),
-            last_create_status: CL_SUCCESS,
         }
     }
 
@@ -48,736 +96,427 @@ impl OpenClHandler {
         self.refs.insert(silo, 1);
     }
 
-    fn retain(&mut self, silo: u64) {
+    /// `clRetain*`: one more reference, in the mirror and on the silo.
+    fn retain(&mut self, kind: Kind, args: Args) -> Result<HandlerOutput> {
+        let silo = args.handle(0)?;
         *self.refs.entry(silo).or_insert(1) += 1;
+        Ok(done(kind.retain(&self.cl, silo)))
     }
 
-    /// Returns true when the object died.
-    fn release(&mut self, silo: u64) -> bool {
-        match self.refs.get_mut(&silo) {
+    /// `clRelease*`: one reference less. The reply says whether the
+    /// object died, so the wire handle retires only with its last one.
+    fn release(&mut self, kind: Kind, args: Args) -> Result<HandlerOutput> {
+        let silo = args.handle(0)?;
+        let died = match self.refs.get_mut(&silo) {
             Some(count) if *count > 1 => {
                 *count -= 1;
                 false
             }
-            _ => {
-                self.refs.remove(&silo);
-                true
+            _ => true,
+        };
+        let result = kind.release(&self.cl, silo);
+        if died {
+            self.forget(kind, silo);
+        }
+        Ok(HandlerOutput {
+            destroyed: Some(died),
+            ..done(result)
+        })
+    }
+
+    /// Drops what the binding keeps about a dead object: its mirrored
+    /// count, a context's snapshot queue and a `cl_mem`'s size record.
+    fn forget(&mut self, kind: Kind, silo: u64) {
+        self.refs.remove(&silo);
+        match kind {
+            Kind::Context => {
+                if let Some(q) = self.internal_queues.remove(&silo) {
+                    let _ = self.cl.release_command_queue(q);
+                }
             }
+            Kind::Mem => {
+                self.mem_info.remove(&silo);
+            }
+            _ => {}
         }
     }
 
-    fn internal_queue(&mut self, ctx_silo: u64) -> Result<ClQueue> {
+    fn internal_queue(&mut self, ctx_silo: u64) -> Option<ClQueue> {
         if let Some(q) = self.internal_queues.get(&ctx_silo) {
-            return Ok(*q);
+            return Some(*q);
         }
-        let device = self
-            .cl
-            .get_context_info(ClContext(ctx_silo))
-            .map_err(|e| ServerError::Handler(e.to_string()))?;
-        let q = self
-            .cl
-            .create_command_queue(ClContext(ctx_silo), device, QueueProps::default())
-            .map_err(|e| ServerError::Handler(e.to_string()))?;
+        let (cl, ctx) = (&self.cl, ClContext(ctx_silo));
+        let device = cl.get_context_info(ctx).ok()?;
+        let q = cl
+            .create_command_queue(ctx, device, QueueProps::default())
+            .ok()?;
         self.internal_queues.insert(ctx_silo, q);
-        Ok(q)
+        Some(q)
     }
-}
 
-// ---- Argument accessors --------------------------------------------------
-
-fn arg(args: &[Value], i: usize) -> Result<&Value> {
-    args.get(i)
-        .ok_or_else(|| ServerError::BadArguments(format!("missing argument {i}")))
-}
-
-fn handle(args: &[Value], i: usize) -> Result<u64> {
-    arg(args, i)?
-        .as_handle()
-        .ok_or_else(|| ServerError::BadArguments(format!("argument {i} is not a handle")))
-}
-
-fn uint(args: &[Value], i: usize) -> Result<u64> {
-    arg(args, i)?
-        .as_u64()
-        .ok_or_else(|| ServerError::BadArguments(format!("argument {i} is not an integer")))
-}
-
-fn bytes(args: &[Value], i: usize) -> Result<&[u8]> {
-    match arg(args, i)? {
-        Value::Bytes(b) => Ok(b),
-        other => Err(ServerError::BadArguments(format!(
-            "argument {i} is not a buffer: {other:?}"
-        ))),
-    }
-}
-
-fn opt_bytes(args: &[Value], i: usize) -> Result<Option<&[u8]>> {
-    match arg(args, i)? {
-        Value::Bytes(b) => Ok(Some(b)),
-        Value::Null => Ok(None),
-        other => Err(ServerError::BadArguments(format!(
-            "argument {i} is not a buffer or NULL: {other:?}"
-        ))),
-    }
-}
-
-fn string(args: &[Value], i: usize) -> Result<&str> {
-    arg(args, i)?
-        .as_str()
-        .ok_or_else(|| ServerError::BadArguments(format!("argument {i} is not a string")))
-}
-
-fn opt_string(args: &[Value], i: usize) -> Result<&str> {
-    match arg(args, i)? {
-        Value::Str(s) => Ok(s),
-        Value::Null => Ok(""),
-        other => Err(ServerError::BadArguments(format!(
-            "argument {i} is not a string or NULL: {other:?}"
-        ))),
-    }
-}
-
-fn wants(args: &[Value], i: usize) -> bool {
-    args.get(i).map(|v| !v.is_null()).unwrap_or(false)
-}
-
-fn events(args: &[Value], i: usize) -> Result<Vec<ClEvent>> {
-    match arg(args, i)? {
-        Value::Null => Ok(Vec::new()),
-        Value::List(items) => items
-            .iter()
-            .map(|v| {
-                v.as_handle()
-                    .map(ClEvent)
-                    .ok_or_else(|| ServerError::BadArguments("event list holds non-handle".into()))
-            })
-            .collect(),
-        other => Err(ServerError::BadArguments(format!(
-            "argument {i} is not an event list: {other:?}"
-        ))),
-    }
-}
-
-fn size_list(args: &[Value], i: usize) -> Result<Option<Vec<usize>>> {
-    match arg(args, i)? {
-        Value::Null => Ok(None),
-        Value::Bytes(b) => {
-            if b.len() % 8 != 0 {
-                return Err(ServerError::BadArguments(
-                    "size_t array has ragged byte length".into(),
-                ));
-            }
-            Ok(Some(
-                b.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")) as usize)
-                    .collect(),
-            ))
-        }
-        other => Err(ServerError::BadArguments(format!(
-            "argument {i} is not a size_t array: {other:?}"
-        ))),
-    }
-}
-
-fn dims(list: &[usize]) -> [usize; 3] {
-    let mut out = [1usize; 3];
-    for (slot, v) in out.iter_mut().zip(list.iter()) {
-        *slot = *v;
-    }
-    out
-}
-
-fn status_ret(code: i32) -> HandlerOutput {
-    HandlerOutput::ret(Value::I32(code))
-}
-
-fn err_code(e: ClError) -> i32 {
-    e.0
-}
-
-/// Builds the three standard outputs of a create-style call: the handle
-/// return plus an optional errcode output.
-fn create_ret(
-    result: std::result::Result<u64, ClError>,
-    errcode_idx: usize,
-    args: &[Value],
-) -> (HandlerOutput, i32) {
-    let (ret, code) = match result {
-        Ok(silo) => (Value::Handle(silo), CL_SUCCESS),
-        Err(e) => (Value::Null, err_code(e)),
-    };
-    let mut out = HandlerOutput::ret(ret);
-    if wants(args, errcode_idx) {
-        out.outputs.push((errcode_idx as u32, Value::I32(code)));
-    }
-    (out, code)
-}
-
-impl ApiHandler for OpenClHandler {
-    fn dispatch(&mut self, func: &FunctionDesc, args: &[Value]) -> Result<HandlerOutput> {
-        let cl = self.cl.clone();
-        match func.name.as_str() {
-            "clGetPlatformIDs" => {
-                let num_entries = uint(args, 0)? as usize;
-                match cl.get_platform_ids() {
-                    Ok(platforms) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 1) {
-                            let list: Vec<Value> = platforms
-                                .iter()
-                                .take(num_entries)
-                                .map(|p| Value::Handle(p.0))
-                                .collect();
-                            out.outputs.push((1, Value::List(list)));
-                        }
-                        if wants(args, 2) {
-                            out.outputs.push((2, Value::U32(platforms.len() as u32)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clGetPlatformInfo" => {
-                let platform = ClPlatform(handle(args, 0)?);
-                let param = uint(args, 1)? as u32;
-                let cap = uint(args, 2)? as usize;
-                let info = match param {
-                    code::CL_PLATFORM_NAME => PlatformInfo::Name,
-                    code::CL_PLATFORM_VENDOR => PlatformInfo::Vendor,
-                    code::CL_PLATFORM_VERSION => PlatformInfo::Version,
-                    _ => return Ok(status_ret(CL_INVALID_VALUE)),
+    /// The create entry points that answer with a handle and an errcode.
+    fn create(&mut self, entry: Cl, args: Args) -> Result<HandlerOutput> {
+        let cl = &self.cl;
+        let (result, errcode) = match entry {
+            Cl::CreateContext => {
+                let device = args.arg(1)?.as_list().unwrap_or_default();
+                let result = match device.iter().find_map(Value::as_handle) {
+                    Some(device) => cl.create_context(ClDevice(device)).map(|c| c.0),
+                    None => Err(ClError(CL_INVALID_VALUE)),
                 };
-                match cl.get_platform_info(platform, info) {
-                    Ok(text) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        let raw = text.into_bytes();
-                        if wants(args, 3) {
-                            let n = raw.len().min(cap);
-                            out.outputs
-                                .push((3, Value::Bytes(raw[..n].to_vec().into())));
-                        }
-                        if wants(args, 4) {
-                            out.outputs.push((4, Value::U64(raw.len() as u64)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
+                (result, 4)
+            }
+            Cl::CreateCommandQueue => {
+                let ctx = ClContext(args.handle(0)?);
+                let device = ClDevice(args.handle(1)?);
+                let props = QueueProps::from_bits(args.uint(2)?);
+                (cl.create_command_queue(ctx, device, props).map(|q| q.0), 3)
+            }
+            Cl::CreateBuffer => {
+                let ctx = args.handle(0)?;
+                let flags = MemFlags::from_bits(args.uint(1)?);
+                let size = args.usize(2)?;
+                let result = cl.create_buffer(ClContext(ctx), flags, size, args.opt_bytes(3)?);
+                (self.new_mem(result, ctx, size), 4)
+            }
+            Cl::CreateImage => {
+                let ctx = args.handle(0)?;
+                let flags = MemFlags::from_bits(args.uint(1)?);
+                let desc = ImageDesc {
+                    width: args.usize(2)?,
+                    height: args.usize(3)?,
+                    elem_size: args.usize(4)?,
+                };
+                let result = cl.create_image(ClContext(ctx), flags, desc, args.opt_bytes(5)?);
+                (self.new_mem(result, ctx, desc.byte_len()), 6)
+            }
+            Cl::CreateProgramWithSource => {
+                let ctx = ClContext(args.handle(0)?);
+                let source = args.string(1)?;
+                (cl.create_program_with_source(ctx, source).map(|p| p.0), 2)
+            }
+            Cl::CreateKernel => {
+                let program = ClProgram(args.handle(0)?);
+                (cl.create_kernel(program, args.string(1)?).map(|k| k.0), 2)
+            }
+            other => unreachable!("{other:?} creates no handle"),
+        };
+        // The tail all of them share: mirror the new object, answer its
+        // handle (or NULL) plus the errcode, and flag device OOM.
+        let (ret, code) = match result {
+            Ok(silo) => {
+                self.track_new(silo);
+                (Value::Handle(silo), CL_SUCCESS)
+            }
+            Err(e) => (Value::Null, e.0),
+        };
+        let mut out = HandlerOutput {
+            device_oom: code == CL_MEM_OBJECT_ALLOCATION_FAILURE,
+            ..HandlerOutput::ret(ret)
+        };
+        args.put(&mut out, errcode, || Value::I32(code));
+        Ok(out)
+    }
+
+    /// Records a new `cl_mem`'s context and size for snapshots.
+    fn new_mem(&mut self, result: ClResult<ClMem>, ctx: u64, size: usize) -> ClResult<u64> {
+        let silo = result?.0;
+        self.mem_info.insert(silo, (ctx, size));
+        Ok(silo)
+    }
+
+    /// `clCreateKernelsInProgram`. Kernels the reply does not hand back
+    /// (all of them for a count-only call) are released at once: no wire
+    /// handle will ever name them.
+    fn create_kernels(&mut self, args: Args) -> Result<HandlerOutput> {
+        let program = ClProgram(args.handle(0)?);
+        let cap = args.usize(1)?;
+        let handed = if args.wants(2) { cap } else { 0 };
+        let cl = self.cl.clone();
+        let created = cl.create_kernels_in_program(program);
+        Ok(reply(created, |out, kernels| {
+            let (kept, unused) = kernels.split_at(handed.min(kernels.len()));
+            for k in unused {
+                let _ = cl.release_kernel(*k);
+            }
+            for k in kept {
+                self.track_new(k.0);
+            }
+            args.put(out, 2, || handle_list(kept.iter().map(|k| k.0)));
+            args.put(out, 3, || Value::U32(kernels.len() as u32));
+        }))
+    }
+
+    fn set_kernel_arg(&self, entry: Cl, args: Args) -> Result<HandlerOutput> {
+        let kernel = ClKernel(args.handle(0)?);
+        let index = args.uint(1)? as u32;
+        let arg = match entry {
+            Cl::SetKernelArg => KernelArg::Scalar(args.bytes(3)?.to_vec()),
+            Cl::SetKernelArgMem => KernelArg::Mem(ClMem(args.handle(2)?)),
+            Cl::SetKernelArgLocal => KernelArg::Local(args.usize(2)?),
+            other => unreachable!("{other:?} binds no kernel argument"),
+        };
+        Ok(done(self.cl.set_kernel_arg(kernel, index, arg)))
+    }
+
+    /// The enqueue entry points.
+    fn enqueue(&mut self, entry: Cl, args: Args) -> Result<HandlerOutput> {
+        let cl = &self.cl;
+        let queue = ClQueue(args.handle(0)?);
+        if entry == Cl::EnqueueTask {
+            let kernel = ClKernel(args.handle(1)?);
+            let result = cl.enqueue_task(queue, kernel, &events(args, 3)?, args.wants(4));
+            return Ok(self.enqueued(result, 4));
+        }
+        let wait = events(args, 7)?;
+        let want_event = args.wants(8);
+        let result = match entry {
+            Cl::EnqueueNDRangeKernel => {
+                let kernel = ClKernel(args.handle(1)?);
+                let global = dims(args, 4)?
+                    .ok_or_else(|| ServerError::BadArguments("global_work_size is NULL".into()))?;
+                let local = dims(args, 5)?;
+                cl.enqueue_nd_range_kernel(queue, kernel, global, local, &wait, want_event)
+            }
+            Cl::EnqueueReadBuffer | Cl::EnqueueWriteBuffer => {
+                let mem = ClMem(args.handle(1)?);
+                let blocking = args.uint(2)? != 0;
+                let offset = args.usize(3)?;
+                if entry == Cl::EnqueueWriteBuffer {
+                    let data = args.bytes(5)?;
+                    cl.enqueue_write_buffer(queue, mem, blocking, offset, data, &wait, want_event)
+                } else {
+                    // A successful read overwrites every byte of the
+                    // payload; a failed one hands it back to the store.
+                    let read = fill_payload(args.usize(4)?, |buf| {
+                        cl.enqueue_read_buffer(queue, mem, blocking, offset, buf, &wait, want_event)
+                    });
+                    let (data, result) = match read {
+                        Ok((data, ev)) => (Some(data), Ok(ev)),
+                        Err(e) => (None, Err(e)),
+                    };
+                    let mut out = self.enqueued(result, 8);
+                    out.outputs
+                        .splice(0..0, data.map(|data| (5, Value::Bytes(data))));
+                    return Ok(out);
                 }
             }
-            "clGetDeviceIDs" => {
-                let platform = ClPlatform(handle(args, 0)?);
-                let ty = match uint(args, 1)? {
+            Cl::EnqueueCopyBuffer => {
+                let (src, dst) = (ClMem(args.handle(1)?), ClMem(args.handle(2)?));
+                let (src_offset, dst_offset) = (args.usize(3)?, args.usize(4)?);
+                let size = args.usize(5)?;
+                cl.enqueue_copy_buffer(
+                    queue, src, dst, src_offset, dst_offset, size, &wait, want_event,
+                )
+            }
+            other => unreachable!("{other:?} is not an enqueue"),
+        };
+        Ok(self.enqueued(result, 8))
+    }
+
+    /// The tail every enqueue shares: its status and, when the guest
+    /// asked for one, the new (mirrored) event as out-parameter `event`.
+    fn enqueued(&mut self, result: ClResult<Option<ClEvent>>, event: u32) -> HandlerOutput {
+        reply(result, |out, ev| {
+            if let Some(ev) = ev {
+                self.track_new(ev.0);
+                out.outputs.push((event, Value::Handle(ev.0)));
+            }
+        })
+    }
+
+    /// The `Get*Info` queries: a value the guest reads in two calls,
+    /// first its size, then its bytes.
+    fn info(&self, entry: Cl, args: Args) -> Result<HandlerOutput> {
+        let cl = &self.cl;
+        let subject = args.handle(0)?;
+        let (raw, cap, data) = match entry {
+            Cl::GetPlatformInfo => {
+                let info = match args.uint(1)? as u32 {
+                    code::CL_PLATFORM_NAME => Ok(PlatformInfo::Name),
+                    code::CL_PLATFORM_VENDOR => Ok(PlatformInfo::Vendor),
+                    code::CL_PLATFORM_VERSION => Ok(PlatformInfo::Version),
+                    _ => Err(ClError(CL_INVALID_VALUE)),
+                };
+                let cap = args.usize(2)?;
+                let text = info.and_then(|info| cl.get_platform_info(ClPlatform(subject), info));
+                (text.map(String::into_bytes), cap, 3)
+            }
+            Cl::GetDeviceInfo => {
+                let info = match args.uint(1)? as u32 {
+                    code::CL_DEVICE_NAME => Ok(DeviceInfo::Name),
+                    code::CL_DEVICE_VENDOR => Ok(DeviceInfo::Vendor),
+                    code::CL_DEVICE_MAX_COMPUTE_UNITS => Ok(DeviceInfo::MaxComputeUnits),
+                    code::CL_DEVICE_MAX_WORK_GROUP_SIZE => Ok(DeviceInfo::MaxWorkGroupSize),
+                    code::CL_DEVICE_GLOBAL_MEM_SIZE => Ok(DeviceInfo::GlobalMemSize),
+                    code::CL_DEVICE_LOCAL_MEM_SIZE => Ok(DeviceInfo::LocalMemSize),
+                    code::CL_DEVICE_TYPE_INFO => Ok(DeviceInfo::Type),
+                    _ => Err(ClError(CL_INVALID_VALUE)),
+                };
+                let cap = args.usize(2)?;
+                let value = info.and_then(|info| cl.get_device_info(ClDevice(subject), info));
+                let raw = value.map(|value| match value {
+                    InfoValue::Str(s) => s.into_bytes(),
+                    InfoValue::UInt(v) => v.to_le_bytes().to_vec(),
+                });
+                (raw, cap, 3)
+            }
+            Cl::GetProgramBuildInfo => {
+                let cap = args.usize(1)?;
+                let log = cl.get_program_build_info(ClProgram(subject));
+                (log.map(String::into_bytes), cap, 2)
+            }
+            other => unreachable!("{other:?} is not a Get*Info query"),
+        };
+        // The tail the three share: the value, truncated to the guest's
+        // capacity, as out-parameter `data`; its full size as `data + 1`.
+        Ok(reply(raw, |out, raw| {
+            args.put(out, data, || {
+                Value::Bytes(raw[..raw.len().min(cap)].to_vec().into())
+            });
+            args.put(out, data + 1, || Value::U64(raw.len() as u64));
+        }))
+    }
+
+    /// The other `Get*` queries.
+    fn query(&self, entry: Cl, args: Args) -> Result<HandlerOutput> {
+        let cl = &self.cl;
+        // A query answering one value, as out-parameter `i`.
+        let one = |value: ClResult<Value>, i| reply(value, |out, v| args.put(out, i, || v));
+        Ok(match entry {
+            Cl::GetPlatformIDs => {
+                let n = args.usize(0)?;
+                reply(cl.get_platform_ids(), |out, all| {
+                    args.put(out, 1, || handle_list(all.iter().take(n).map(|p| p.0)));
+                    args.put(out, 2, || Value::U32(all.len() as u32));
+                })
+            }
+            Cl::GetDeviceIDs => {
+                let platform = ClPlatform(args.handle(0)?);
+                let ty = match args.uint(1)? {
                     code::CL_DEVICE_TYPE_GPU => DeviceType::Gpu,
                     code::CL_DEVICE_TYPE_ACCELERATOR => DeviceType::Accelerator,
                     _ => DeviceType::All,
                 };
-                let num_entries = uint(args, 2)? as usize;
-                match cl.get_device_ids(platform, ty) {
-                    Ok(devices) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 3) {
-                            let list: Vec<Value> = devices
-                                .iter()
-                                .take(num_entries)
-                                .map(|d| Value::Handle(d.0))
-                                .collect();
-                            out.outputs.push((3, Value::List(list)));
-                        }
-                        if wants(args, 4) {
-                            out.outputs.push((4, Value::U32(devices.len() as u32)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
+                let n = args.usize(2)?;
+                reply(cl.get_device_ids(platform, ty), |out, all| {
+                    args.put(out, 3, || handle_list(all.iter().take(n).map(|d| d.0)));
+                    args.put(out, 4, || Value::U32(all.len() as u32));
+                })
             }
-            "clGetDeviceInfo" => {
-                let device = ClDevice(handle(args, 0)?);
-                let param = uint(args, 1)? as u32;
-                let cap = uint(args, 2)? as usize;
-                let info = match param {
-                    code::CL_DEVICE_NAME => DeviceInfo::Name,
-                    code::CL_DEVICE_VENDOR => DeviceInfo::Vendor,
-                    code::CL_DEVICE_MAX_COMPUTE_UNITS => DeviceInfo::MaxComputeUnits,
-                    code::CL_DEVICE_MAX_WORK_GROUP_SIZE => DeviceInfo::MaxWorkGroupSize,
-                    code::CL_DEVICE_GLOBAL_MEM_SIZE => DeviceInfo::GlobalMemSize,
-                    code::CL_DEVICE_LOCAL_MEM_SIZE => DeviceInfo::LocalMemSize,
-                    code::CL_DEVICE_TYPE_INFO => DeviceInfo::Type,
-                    _ => return Ok(status_ret(CL_INVALID_VALUE)),
-                };
-                match cl.get_device_info(device, info) {
-                    Ok(value) => {
-                        let raw = match value {
-                            InfoValue::Str(s) => s.into_bytes(),
-                            InfoValue::UInt(v) => v.to_le_bytes().to_vec(),
-                        };
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 3) {
-                            let n = raw.len().min(cap);
-                            out.outputs
-                                .push((3, Value::Bytes(raw[..n].to_vec().into())));
-                        }
-                        if wants(args, 4) {
-                            out.outputs.push((4, Value::U64(raw.len() as u64)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
+            Cl::GetContextInfo => {
+                let device = cl.get_context_info(ClContext(args.handle(0)?));
+                one(device.map(|d| Value::Handle(d.0)), 1)
             }
-            "clCreateContext" => {
-                let devices = match arg(args, 1)? {
-                    Value::List(items) => items
-                        .iter()
-                        .filter_map(Value::as_handle)
-                        .map(ClDevice)
-                        .collect::<Vec<_>>(),
-                    _ => Vec::new(),
-                };
-                let result = match devices.first() {
-                    Some(device) => cl.create_context(*device).map(|c| c.0),
-                    None => Err(ClError(CL_INVALID_VALUE)),
-                };
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                }
-                let (out, code) = create_ret(result, 4, args);
-                self.last_create_status = code;
-                Ok(out)
+            Cl::GetMemObjectInfo => {
+                let size = cl.get_mem_object_info(ClMem(args.handle(0)?));
+                one(size.map(|n| Value::U64(n as u64)), 1)
             }
-            "clRetainContext" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_context(ClContext(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
+            Cl::GetKernelWorkGroupInfo => {
+                let (kernel, device) = (ClKernel(args.handle(0)?), ClDevice(args.handle(1)?));
+                let size = cl.get_kernel_work_group_info(kernel, device);
+                one(size.map(|n| Value::U64(n as u64)), 2)
             }
-            "clReleaseContext" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_context(ClContext(silo));
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                if died {
-                    if let Some(q) = self.internal_queues.remove(&silo) {
-                        let _ = cl.release_command_queue(q);
-                    }
-                }
-                Ok(out)
+            Cl::GetEventInfo => {
+                let status = cl.get_event_info(ClEvent(args.handle(0)?));
+                one(status.map(|s| Value::I32(s.to_cl())), 1)
             }
-            "clGetContextInfo" => {
-                let ctx = ClContext(handle(args, 0)?);
-                match cl.get_context_info(ctx) {
-                    Ok(device) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 1) {
-                            out.outputs.push((1, Value::Handle(device.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
+            Cl::GetEventProfilingInfo => {
+                let event = ClEvent(args.handle(0)?);
+                let param = args.uint(1)? as u32;
+                let value = cl
+                    .get_event_profiling_info(event)
+                    .and_then(|prof| match param {
+                        code::CL_PROFILING_COMMAND_QUEUED => Ok(prof.queued),
+                        code::CL_PROFILING_COMMAND_SUBMIT => Ok(prof.submitted),
+                        code::CL_PROFILING_COMMAND_START => Ok(prof.started),
+                        code::CL_PROFILING_COMMAND_END => Ok(prof.ended),
+                        _ => Err(ClError(CL_INVALID_VALUE)),
+                    });
+                one(value.map(Value::U64), 2)
             }
-            "clCreateCommandQueue" => {
-                let ctx = ClContext(handle(args, 0)?);
-                let device = ClDevice(handle(args, 1)?);
-                let props = QueueProps::from_bits(uint(args, 2)?);
-                let result = cl.create_command_queue(ctx, device, props).map(|q| q.0);
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                }
-                let (out, code) = create_ret(result, 3, args);
-                self.last_create_status = code;
-                Ok(out)
+            other => unreachable!("{other:?} is not a query"),
+        })
+    }
+}
+
+fn handle_list(handles: impl Iterator<Item = u64>) -> Value {
+    Value::List(handles.map(Value::Handle).collect())
+}
+
+fn events(args: Args, i: usize) -> Result<Vec<ClEvent>> {
+    args.read(i, "an event list", |v| match v {
+        Value::Null => Some(Vec::new()),
+        v => v
+            .as_list()?
+            .iter()
+            .map(|e| e.as_handle().map(ClEvent))
+            .collect(),
+    })
+}
+
+/// A `size_t` array as three dimensions (missing ones are 1), or `None`
+/// for NULL.
+fn dims(args: Args, i: usize) -> Result<Option<[usize; 3]>> {
+    args.read(i, "a size_t array", |v| match v {
+        Value::Null => Some(None),
+        v => {
+            let bytes = v.as_bytes().filter(|b| b.len() % 8 == 0)?;
+            let mut out = [1usize; 3];
+            for (slot, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                *slot = u64::from_le_bytes(c.try_into().expect("8 bytes")) as usize;
             }
-            "clRetainCommandQueue" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_command_queue(ClQueue(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
+            Some(Some(out))
+        }
+    })
+}
+
+impl ApiHandler for OpenClHandler {
+    fn dispatch(&mut self, func: &FunctionDesc, args: &[Value]) -> Result<HandlerOutput> {
+        let args = Args(args);
+        let entry = self.entries.of(func)?;
+        let cl = &self.cl;
+        match entry {
+            Cl::RetainContext => self.retain(Kind::Context, args),
+            Cl::RetainCommandQueue => self.retain(Kind::Queue, args),
+            Cl::RetainMemObject => self.retain(Kind::Mem, args),
+            Cl::RetainProgram => self.retain(Kind::Program, args),
+            Cl::RetainKernel => self.retain(Kind::Kernel, args),
+            Cl::RetainEvent => self.retain(Kind::Event, args),
+            Cl::ReleaseContext => self.release(Kind::Context, args),
+            Cl::ReleaseCommandQueue => self.release(Kind::Queue, args),
+            Cl::ReleaseMemObject => self.release(Kind::Mem, args),
+            Cl::ReleaseProgram => self.release(Kind::Program, args),
+            Cl::ReleaseKernel => self.release(Kind::Kernel, args),
+            Cl::ReleaseEvent => self.release(Kind::Event, args),
+            Cl::CreateContext
+            | Cl::CreateCommandQueue
+            | Cl::CreateBuffer
+            | Cl::CreateImage
+            | Cl::CreateProgramWithSource
+            | Cl::CreateKernel => self.create(entry, args),
+            Cl::CreateKernelsInProgram => self.create_kernels(args),
+            Cl::SetKernelArg | Cl::SetKernelArgMem | Cl::SetKernelArgLocal => {
+                self.set_kernel_arg(entry, args)
             }
-            "clReleaseCommandQueue" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_command_queue(ClQueue(silo));
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                Ok(out)
+            Cl::EnqueueNDRangeKernel
+            | Cl::EnqueueTask
+            | Cl::EnqueueReadBuffer
+            | Cl::EnqueueWriteBuffer
+            | Cl::EnqueueCopyBuffer => self.enqueue(entry, args),
+            Cl::BuildProgram => Ok(done(
+                cl.build_program(ClProgram(args.handle(0)?), args.opt_string(1)?),
+            )),
+            Cl::CompileProgram => Ok(done(
+                cl.compile_program(ClProgram(args.handle(0)?), args.opt_string(1)?),
+            )),
+            Cl::Flush => Ok(done(cl.flush(ClQueue(args.handle(0)?)))),
+            Cl::Finish => Ok(done(cl.finish(ClQueue(args.handle(0)?)))),
+            Cl::WaitForEvents => Ok(done(cl.wait_for_events(&events(args, 1)?))),
+            Cl::GetPlatformInfo | Cl::GetDeviceInfo | Cl::GetProgramBuildInfo => {
+                self.info(entry, args)
             }
-            "clCreateBuffer" => {
-                let ctx = ClContext(handle(args, 0)?);
-                let flags = MemFlags::from_bits(uint(args, 1)?);
-                let size = uint(args, 2)? as usize;
-                let host = opt_bytes(args, 3)?;
-                let result = cl.create_buffer(ctx, flags, size, host).map(|m| m.0);
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                    self.mem_info.insert(silo, (ctx.0, size));
-                }
-                let (out, code) = create_ret(result, 4, args);
-                self.last_create_status = code;
-                Ok(out)
-            }
-            "clCreateImage" => {
-                let ctx = ClContext(handle(args, 0)?);
-                let flags = MemFlags::from_bits(uint(args, 1)?);
-                let desc = ImageDesc {
-                    width: uint(args, 2)? as usize,
-                    height: uint(args, 3)? as usize,
-                    elem_size: uint(args, 4)? as usize,
-                };
-                let host = opt_bytes(args, 5)?;
-                let result = cl.create_image(ctx, flags, desc, host).map(|m| m.0);
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                    self.mem_info.insert(silo, (ctx.0, desc.byte_len()));
-                }
-                let (out, code) = create_ret(result, 6, args);
-                self.last_create_status = code;
-                Ok(out)
-            }
-            "clRetainMemObject" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_mem_object(ClMem(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clReleaseMemObject" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_mem_object(ClMem(silo));
-                if died {
-                    self.mem_info.remove(&silo);
-                }
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                Ok(out)
-            }
-            "clGetMemObjectInfo" => {
-                let mem = ClMem(handle(args, 0)?);
-                match cl.get_mem_object_info(mem) {
-                    Ok(size) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 1) {
-                            out.outputs.push((1, Value::U64(size as u64)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clCreateProgramWithSource" => {
-                let ctx = ClContext(handle(args, 0)?);
-                let source = string(args, 1)?;
-                let result = cl.create_program_with_source(ctx, source).map(|p| p.0);
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                }
-                let (out, code) = create_ret(result, 2, args);
-                self.last_create_status = code;
-                Ok(out)
-            }
-            "clBuildProgram" | "clCompileProgram" => {
-                let program = ClProgram(handle(args, 0)?);
-                let options = opt_string(args, 1)?;
-                let r = if func.name == "clBuildProgram" {
-                    cl.build_program(program, options)
-                } else {
-                    cl.compile_program(program, options)
-                };
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clGetProgramBuildInfo" => {
-                let program = ClProgram(handle(args, 0)?);
-                let cap = uint(args, 1)? as usize;
-                match cl.get_program_build_info(program) {
-                    Ok(log) => {
-                        let raw = log.into_bytes();
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 2) {
-                            let n = raw.len().min(cap);
-                            out.outputs
-                                .push((2, Value::Bytes(raw[..n].to_vec().into())));
-                        }
-                        if wants(args, 3) {
-                            out.outputs.push((3, Value::U64(raw.len() as u64)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clRetainProgram" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_program(ClProgram(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clReleaseProgram" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_program(ClProgram(silo));
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                Ok(out)
-            }
-            "clCreateKernel" => {
-                let program = ClProgram(handle(args, 0)?);
-                let name = string(args, 1)?;
-                let result = cl.create_kernel(program, name).map(|k| k.0);
-                if let Ok(silo) = result {
-                    self.track_new(silo);
-                }
-                let (out, code) = create_ret(result, 2, args);
-                self.last_create_status = code;
-                Ok(out)
-            }
-            "clCreateKernelsInProgram" => {
-                let program = ClProgram(handle(args, 0)?);
-                let cap = uint(args, 1)? as usize;
-                match cl.create_kernels_in_program(program) {
-                    Ok(kernels) => {
-                        for k in &kernels {
-                            self.track_new(k.0);
-                        }
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 2) {
-                            let list: Vec<Value> = kernels
-                                .iter()
-                                .take(cap)
-                                .map(|k| Value::Handle(k.0))
-                                .collect();
-                            out.outputs.push((2, Value::List(list)));
-                        }
-                        if wants(args, 3) {
-                            out.outputs.push((3, Value::U32(kernels.len() as u32)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clRetainKernel" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_kernel(ClKernel(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clReleaseKernel" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_kernel(ClKernel(silo));
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                Ok(out)
-            }
-            "clSetKernelArg" => {
-                let kernel = ClKernel(handle(args, 0)?);
-                let index = uint(args, 1)? as u32;
-                let value = bytes(args, 3)?;
-                let r = cl.set_kernel_arg(kernel, index, KernelArg::Scalar(value.to_vec()));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clSetKernelArgMem" => {
-                let kernel = ClKernel(handle(args, 0)?);
-                let index = uint(args, 1)? as u32;
-                let mem = ClMem(handle(args, 2)?);
-                let r = cl.set_kernel_arg(kernel, index, KernelArg::Mem(mem));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clSetKernelArgLocal" => {
-                let kernel = ClKernel(handle(args, 0)?);
-                let index = uint(args, 1)? as u32;
-                let size = uint(args, 2)? as usize;
-                let r = cl.set_kernel_arg(kernel, index, KernelArg::Local(size));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clGetKernelWorkGroupInfo" => {
-                let kernel = ClKernel(handle(args, 0)?);
-                let device = ClDevice(handle(args, 1)?);
-                match cl.get_kernel_work_group_info(kernel, device) {
-                    Ok(size) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 2) {
-                            out.outputs.push((2, Value::U64(size as u64)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clEnqueueNDRangeKernel" => {
-                let queue = ClQueue(handle(args, 0)?);
-                let kernel = ClKernel(handle(args, 1)?);
-                let global = size_list(args, 4)?
-                    .ok_or_else(|| ServerError::BadArguments("global_work_size is NULL".into()))?;
-                let local = size_list(args, 5)?;
-                let wait = events(args, 7)?;
-                let want_event = wants(args, 8);
-                let r = cl.enqueue_nd_range_kernel(
-                    queue,
-                    kernel,
-                    dims(&global),
-                    local.as_deref().map(dims),
-                    &wait,
-                    want_event,
-                );
-                match r {
-                    Ok(ev) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if let Some(ev) = ev {
-                            self.track_new(ev.0);
-                            out.outputs.push((8, Value::Handle(ev.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clEnqueueTask" => {
-                let queue = ClQueue(handle(args, 0)?);
-                let kernel = ClKernel(handle(args, 1)?);
-                let wait = events(args, 3)?;
-                let want_event = wants(args, 4);
-                match cl.enqueue_task(queue, kernel, &wait, want_event) {
-                    Ok(ev) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if let Some(ev) = ev {
-                            self.track_new(ev.0);
-                            out.outputs.push((4, Value::Handle(ev.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clEnqueueReadBuffer" => {
-                let queue = ClQueue(handle(args, 0)?);
-                let mem = ClMem(handle(args, 1)?);
-                let blocking = uint(args, 2)? != 0;
-                let offset = uint(args, 3)? as usize;
-                let size = uint(args, 4)? as usize;
-                let wait = events(args, 7)?;
-                let want_event = wants(args, 8);
-                // A successful read overwrites every byte of the payload;
-                // a failed one hands it back to the store unseen.
-                match fill_payload(size, |data| {
-                    cl.enqueue_read_buffer(queue, mem, blocking, offset, data, &wait, want_event)
-                }) {
-                    Ok((data, ev)) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        out.outputs.push((5, Value::Bytes(data)));
-                        if let Some(ev) = ev {
-                            self.track_new(ev.0);
-                            out.outputs.push((8, Value::Handle(ev.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clEnqueueWriteBuffer" => {
-                let queue = ClQueue(handle(args, 0)?);
-                let mem = ClMem(handle(args, 1)?);
-                let blocking = uint(args, 2)? != 0;
-                let offset = uint(args, 3)? as usize;
-                let data = bytes(args, 5)?;
-                let wait = events(args, 7)?;
-                let want_event = wants(args, 8);
-                match cl.enqueue_write_buffer(queue, mem, blocking, offset, data, &wait, want_event)
-                {
-                    Ok(ev) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if let Some(ev) = ev {
-                            self.track_new(ev.0);
-                            out.outputs.push((8, Value::Handle(ev.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clEnqueueCopyBuffer" => {
-                let queue = ClQueue(handle(args, 0)?);
-                let src = ClMem(handle(args, 1)?);
-                let dst = ClMem(handle(args, 2)?);
-                let src_offset = uint(args, 3)? as usize;
-                let dst_offset = uint(args, 4)? as usize;
-                let size = uint(args, 5)? as usize;
-                let wait = events(args, 7)?;
-                let want_event = wants(args, 8);
-                match cl.enqueue_copy_buffer(
-                    queue, src, dst, src_offset, dst_offset, size, &wait, want_event,
-                ) {
-                    Ok(ev) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if let Some(ev) = ev {
-                            self.track_new(ev.0);
-                            out.outputs.push((8, Value::Handle(ev.0)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clFlush" => {
-                let r = cl.flush(ClQueue(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clFinish" => {
-                let r = cl.finish(ClQueue(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clWaitForEvents" => {
-                let list = events(args, 1)?;
-                let r = cl.wait_for_events(&list);
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clGetEventInfo" => {
-                let event = ClEvent(handle(args, 0)?);
-                match cl.get_event_info(event) {
-                    Ok(status) => {
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 1) {
-                            out.outputs.push((1, Value::I32(status.to_cl())));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clGetEventProfilingInfo" => {
-                let event = ClEvent(handle(args, 0)?);
-                let param = uint(args, 1)? as u32;
-                match cl.get_event_profiling_info(event) {
-                    Ok(prof) => {
-                        let value = match param {
-                            code::CL_PROFILING_COMMAND_QUEUED => prof.queued,
-                            code::CL_PROFILING_COMMAND_SUBMIT => prof.submitted,
-                            code::CL_PROFILING_COMMAND_START => prof.started,
-                            code::CL_PROFILING_COMMAND_END => prof.ended,
-                            _ => return Ok(status_ret(CL_INVALID_VALUE)),
-                        };
-                        let mut out = status_ret(CL_SUCCESS);
-                        if wants(args, 2) {
-                            out.outputs.push((2, Value::U64(value)));
-                        }
-                        Ok(out)
-                    }
-                    Err(e) => Ok(status_ret(err_code(e))),
-                }
-            }
-            "clRetainEvent" => {
-                self.retain(handle(args, 0)?);
-                let r = cl.retain_event(ClEvent(handle(args, 0)?));
-                Ok(status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS)))
-            }
-            "clReleaseEvent" => {
-                let silo = handle(args, 0)?;
-                let died = self.release(silo);
-                let r = cl.release_event(ClEvent(silo));
-                let mut out = status_ret(r.err().map(err_code).unwrap_or(CL_SUCCESS));
-                out.destroyed = Some(died);
-                Ok(out)
-            }
-            other => Err(ServerError::Handler(format!(
-                "unhandled function `{other}`"
-            ))),
+            _ => self.query(entry, args),
         }
     }
 
@@ -790,7 +529,7 @@ impl ApiHandler for OpenClHandler {
             return None;
         }
         let (ctx, size) = *self.mem_info.get(&silo)?;
-        let queue = self.internal_queue(ctx).ok()?;
+        let queue = self.internal_queue(ctx)?;
         let mut data = vec![0u8; size];
         self.cl
             .enqueue_read_buffer(queue, ClMem(silo), true, 0, &mut data, &[], false)
@@ -808,7 +547,7 @@ impl ApiHandler for OpenClHandler {
         if data.len() != size {
             return false;
         }
-        let Ok(queue) = self.internal_queue(ctx) else {
+        let Some(queue) = self.internal_queue(ctx) else {
             return false;
         };
         self.cl
@@ -817,32 +556,60 @@ impl ApiHandler for OpenClHandler {
     }
 
     fn drop_object(&mut self, kind: &str, silo: u64) -> bool {
-        let ok = match kind {
-            "cl_mem" => {
-                self.mem_info.remove(&silo);
-                self.cl.release_mem_object(ClMem(silo)).is_ok()
-            }
-            "cl_context" => {
-                if let Some(q) = self.internal_queues.remove(&silo) {
-                    let _ = self.cl.release_command_queue(q);
-                }
-                self.cl.release_context(ClContext(silo)).is_ok()
-            }
-            "cl_command_queue" => self.cl.release_command_queue(ClQueue(silo)).is_ok(),
-            "cl_program" => self.cl.release_program(ClProgram(silo)).is_ok(),
-            "cl_kernel" => self.cl.release_kernel(ClKernel(silo)).is_ok(),
-            "cl_event" => self.cl.release_event(ClEvent(silo)).is_ok(),
-            _ => false,
+        let Some(kind) = Kind::named(kind) else {
+            return false;
         };
-        if ok {
-            self.refs.remove(&silo);
-        }
-        ok
+        let released = kind.release(&self.cl, silo).is_ok();
+        self.forget(kind, silo);
+        released
     }
+}
 
-    fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
-        matches!(func.name.as_str(), "clCreateBuffer" | "clCreateImage")
-            && ret.is_null()
-            && self.last_create_status == CL_MEM_OBJECT_ALLOCATION_FAILURE
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::specs::opencl_descriptor;
+    use ava_spec::LowerOptions;
+
+    /// `clCreateKernelsInProgram` creates every kernel on the silo; the
+    /// ones the reply does not hand back have no wire handle, so nothing
+    /// would ever release them.
+    #[test]
+    fn kernels_the_reply_does_not_hand_back_are_released() {
+        let cl = SimCl::new();
+        let platform = cl.get_platform_ids().unwrap()[0];
+        let device = cl.get_device_ids(platform, DeviceType::All).unwrap()[0];
+        let ctx = cl.create_context(device).unwrap();
+        let source = simcl::kernels::builtins::SOURCE;
+        let program = cl.create_program_with_source(ctx, source).unwrap();
+        cl.build_program(program, "").unwrap();
+        let desc = opencl_descriptor(LowerOptions::default()).unwrap();
+        let func = desc.by_name("clCreateKernelsInProgram").unwrap();
+        let mut handler = OpenClHandler::new(cl.clone());
+        let mut call = |num_kernels, kernels, count| {
+            let args = [
+                Value::Handle(program.0),
+                Value::U32(num_kernels),
+                kernels,
+                count,
+            ];
+            handler.dispatch(func, &args).unwrap().outputs
+        };
+
+        // The count query (`kernels` NULL), then a fetch of one of four.
+        let counted = call(0, Value::Null, Value::U64(1));
+        assert_eq!(counted, vec![(3, Value::U32(4))]);
+        let fetched = call(1, Value::U64(1), Value::Null);
+        let [(2, Value::List(kept))] = fetched.as_slice() else {
+            panic!("one kernel list expected: {fetched:?}");
+        };
+        let kept = kept[0].as_handle().unwrap();
+
+        // Only the kernel handed back is mirrored or left on the silo.
+        assert_eq!(handler.refs.keys().collect::<Vec<_>>(), vec![&kept]);
+        let live: Vec<u64> = (program.0 + 1..program.0 + 16)
+            .filter(|&id| cl.retain_kernel(ClKernel(id)).is_ok())
+            .collect();
+        assert_eq!(live, vec![kept]);
     }
 }

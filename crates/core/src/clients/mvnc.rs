@@ -8,26 +8,12 @@ use ava_wire::{copy_payload, FnId, Value};
 use simnc::status::{NcError, NcResult, MVNC_ERROR, MVNC_OK};
 use simnc::{DeviceOption, GraphOption, MvncApi, NcDevice, NcGraph};
 
-use super::{call_by_id, fn_table};
+use super::call_by_id;
 
-use crate::specs::mvnc_code as code;
+use crate::specs::{mvnc_code as code, EntryPoint, Nc};
 
 /// Placeholder requesting an out-parameter.
 const WANT: Value = Value::U64(1);
-
-fn_table!(Nc {
-    GetDeviceName => "mvncGetDeviceName",
-    OpenDevice => "mvncOpenDevice",
-    CloseDevice => "mvncCloseDevice",
-    AllocateGraph => "mvncAllocateGraph",
-    DeallocateGraph => "mvncDeallocateGraph",
-    LoadTensor => "mvncLoadTensor",
-    GetResult => "mvncGetResult",
-    SetGraphOption => "mvncSetGraphOption",
-    GetGraphOption => "mvncGetGraphOption",
-    SetDeviceOption => "mvncSetDeviceOption",
-    GetDeviceOption => "mvncGetDeviceOption",
-});
 
 /// The remoting NCSDK client.
 pub struct MvncClient {

@@ -11,57 +11,12 @@ use simcl::status::{ClError, ClResult, CL_OUT_OF_RESOURCES, CL_SUCCESS};
 use simcl::types::*;
 use simcl::ClApi;
 
-use super::{call_by_id, fn_table};
+use super::call_by_id;
 
-use crate::specs::cl_code as code;
+use crate::specs::{cl_code as code, Cl, EntryPoint};
 
 /// A placeholder that requests an out-parameter without carrying data.
 const WANT: Value = Value::U64(1);
-
-fn_table!(Cl {
-    GetPlatformIDs => "clGetPlatformIDs",
-    GetPlatformInfo => "clGetPlatformInfo",
-    GetDeviceIDs => "clGetDeviceIDs",
-    GetDeviceInfo => "clGetDeviceInfo",
-    CreateContext => "clCreateContext",
-    RetainContext => "clRetainContext",
-    ReleaseContext => "clReleaseContext",
-    GetContextInfo => "clGetContextInfo",
-    CreateCommandQueue => "clCreateCommandQueue",
-    RetainCommandQueue => "clRetainCommandQueue",
-    ReleaseCommandQueue => "clReleaseCommandQueue",
-    CreateBuffer => "clCreateBuffer",
-    CreateImage => "clCreateImage",
-    RetainMemObject => "clRetainMemObject",
-    ReleaseMemObject => "clReleaseMemObject",
-    GetMemObjectInfo => "clGetMemObjectInfo",
-    CreateProgramWithSource => "clCreateProgramWithSource",
-    BuildProgram => "clBuildProgram",
-    CompileProgram => "clCompileProgram",
-    GetProgramBuildInfo => "clGetProgramBuildInfo",
-    RetainProgram => "clRetainProgram",
-    ReleaseProgram => "clReleaseProgram",
-    CreateKernel => "clCreateKernel",
-    CreateKernelsInProgram => "clCreateKernelsInProgram",
-    SetKernelArgMem => "clSetKernelArgMem",
-    SetKernelArgLocal => "clSetKernelArgLocal",
-    SetKernelArg => "clSetKernelArg",
-    GetKernelWorkGroupInfo => "clGetKernelWorkGroupInfo",
-    RetainKernel => "clRetainKernel",
-    ReleaseKernel => "clReleaseKernel",
-    EnqueueNDRangeKernel => "clEnqueueNDRangeKernel",
-    EnqueueTask => "clEnqueueTask",
-    EnqueueReadBuffer => "clEnqueueReadBuffer",
-    EnqueueWriteBuffer => "clEnqueueWriteBuffer",
-    EnqueueCopyBuffer => "clEnqueueCopyBuffer",
-    Flush => "clFlush",
-    Finish => "clFinish",
-    WaitForEvents => "clWaitForEvents",
-    GetEventInfo => "clGetEventInfo",
-    GetEventProfilingInfo => "clGetEventProfilingInfo",
-    RetainEvent => "clRetainEvent",
-    ReleaseEvent => "clReleaseEvent",
-});
 
 /// The remoting OpenCL client.
 pub struct OpenClClient {

@@ -36,6 +36,8 @@
 //! api.finish(queue).unwrap();
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod bindings;
 pub mod clients;
 pub mod specs;

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use ava_spec::{compile_spec, ApiDescriptor, LowerOptions, MapResolver, Result};
+use ava_wire::FnId;
 
 /// The unmodified OpenCL subset header (`specs/CL/cl.h`).
 pub const OPENCL_HEADER: &str = include_str!("../../../specs/CL/cl.h");
@@ -69,6 +70,118 @@ header_constants! {
     }
 }
 
+/// An API's entry points, declared once by [`fn_table!`] for both its
+/// typed client and its binding. The client resolves every entry to the
+/// descriptor's `FnId` when it is built; the binding resolves each `FnId`
+/// it meets to an entry once, by name. Either way no call compares names.
+pub(crate) trait EntryPoint: Copy + Eq + std::fmt::Debug + 'static {
+    /// Every entry, in declaration order (an entry's index is its value).
+    const ALL: &'static [Self];
+
+    /// The C function name.
+    fn name(self) -> &'static str;
+
+    /// The entry named `name`, if the table declares one.
+    fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|e| e.name() == name)
+    }
+
+    /// The `FnId` of every entry, indexed by the entry; `None` where the
+    /// descriptor lacks the name.
+    fn resolve(desc: &ApiDescriptor) -> Vec<Option<FnId>> {
+        Self::ALL
+            .iter()
+            .map(|e| desc.by_name(e.name()).map(|f| f.id))
+            .collect()
+    }
+}
+
+/// Declares an API's entry points as an enum implementing [`EntryPoint`].
+macro_rules! fn_table {
+    ($(#[$meta:meta])* $table:ident { $($variant:ident => $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum $table {
+            $($variant,)*
+        }
+
+        impl EntryPoint for $table {
+            const ALL: &'static [Self] = &[$(Self::$variant,)*];
+
+            fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+fn_table!(
+    /// The OpenCL entry points (`specs/CL/opencl.avaspec`).
+    Cl {
+        GetPlatformIDs => "clGetPlatformIDs",
+        GetPlatformInfo => "clGetPlatformInfo",
+        GetDeviceIDs => "clGetDeviceIDs",
+        GetDeviceInfo => "clGetDeviceInfo",
+        CreateContext => "clCreateContext",
+        RetainContext => "clRetainContext",
+        ReleaseContext => "clReleaseContext",
+        GetContextInfo => "clGetContextInfo",
+        CreateCommandQueue => "clCreateCommandQueue",
+        RetainCommandQueue => "clRetainCommandQueue",
+        ReleaseCommandQueue => "clReleaseCommandQueue",
+        CreateBuffer => "clCreateBuffer",
+        CreateImage => "clCreateImage",
+        RetainMemObject => "clRetainMemObject",
+        ReleaseMemObject => "clReleaseMemObject",
+        GetMemObjectInfo => "clGetMemObjectInfo",
+        CreateProgramWithSource => "clCreateProgramWithSource",
+        BuildProgram => "clBuildProgram",
+        CompileProgram => "clCompileProgram",
+        GetProgramBuildInfo => "clGetProgramBuildInfo",
+        RetainProgram => "clRetainProgram",
+        ReleaseProgram => "clReleaseProgram",
+        CreateKernel => "clCreateKernel",
+        CreateKernelsInProgram => "clCreateKernelsInProgram",
+        SetKernelArgMem => "clSetKernelArgMem",
+        SetKernelArgLocal => "clSetKernelArgLocal",
+        SetKernelArg => "clSetKernelArg",
+        GetKernelWorkGroupInfo => "clGetKernelWorkGroupInfo",
+        RetainKernel => "clRetainKernel",
+        ReleaseKernel => "clReleaseKernel",
+        EnqueueNDRangeKernel => "clEnqueueNDRangeKernel",
+        EnqueueTask => "clEnqueueTask",
+        EnqueueReadBuffer => "clEnqueueReadBuffer",
+        EnqueueWriteBuffer => "clEnqueueWriteBuffer",
+        EnqueueCopyBuffer => "clEnqueueCopyBuffer",
+        Flush => "clFlush",
+        Finish => "clFinish",
+        WaitForEvents => "clWaitForEvents",
+        GetEventInfo => "clGetEventInfo",
+        GetEventProfilingInfo => "clGetEventProfilingInfo",
+        RetainEvent => "clRetainEvent",
+        ReleaseEvent => "clReleaseEvent",
+    }
+);
+
+fn_table!(
+    /// The NCSDK entry points (`specs/mvnc/mvnc.avaspec`).
+    Nc {
+        GetDeviceName => "mvncGetDeviceName",
+        OpenDevice => "mvncOpenDevice",
+        CloseDevice => "mvncCloseDevice",
+        AllocateGraph => "mvncAllocateGraph",
+        DeallocateGraph => "mvncDeallocateGraph",
+        LoadTensor => "mvncLoadTensor",
+        GetResult => "mvncGetResult",
+        SetGraphOption => "mvncSetGraphOption",
+        GetGraphOption => "mvncGetGraphOption",
+        SetDeviceOption => "mvncSetDeviceOption",
+        GetDeviceOption => "mvncGetDeviceOption",
+    }
+);
+
 /// Header resolver covering both bundled APIs.
 pub fn resolver() -> MapResolver {
     MapResolver::new()
@@ -126,6 +239,24 @@ mod tests {
                 assert_eq!(desc.constants.get(name), Some(&value), "{name}");
             }
         }
+    }
+
+    /// Every descriptor function resolves to exactly one table entry and
+    /// every entry to a function, so no name silently resolves to `None`.
+    #[test]
+    fn entry_tables_match_the_descriptors() {
+        fn check<E: EntryPoint>(desc: &ApiDescriptor) {
+            for f in &desc.functions {
+                let n = E::ALL.iter().filter(|e| e.name() == f.name).count();
+                assert_eq!(n, 1, "`{}` matches {n} entries", f.name);
+            }
+            for &e in E::ALL {
+                assert!(desc.by_name(e.name()).is_some(), "{e:?} names no function");
+                assert_eq!(E::from_name(e.name()), Some(e));
+            }
+        }
+        check::<Cl>(&opencl_descriptor(LowerOptions::default()).unwrap());
+        check::<Nc>(&mvnc_descriptor(LowerOptions::default()).unwrap());
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! relocates each VM's API server; `supervisor` owns the device pool and
 //! the thread that recovers crashed servers and watches load.
 
-#![warn(clippy::too_many_lines)]
-
 mod lifecycle;
 mod supervisor;
 

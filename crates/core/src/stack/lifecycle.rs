@@ -3,8 +3,6 @@
 //! suffix — whether for a first attach, a planned move, a rollback onto
 //! the source, or a crash respawn.
 
-#![warn(clippy::too_many_lines)]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError};

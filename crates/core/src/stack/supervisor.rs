@@ -2,8 +2,6 @@
 //! to, and the supervisor thread that recovers crashed API servers and
 //! runs the SLO, brownout and load watchdog.
 
-#![warn(clippy::too_many_lines)]
-
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -56,10 +54,6 @@ impl ApiHandler for TimedHandler {
 
     fn drop_object(&mut self, kind: &str, silo: u64) -> bool {
         self.inner.drop_object(kind, silo)
-    }
-
-    fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
-        self.inner.ret_indicates_oom(func, ret)
     }
 }
 

@@ -454,10 +454,6 @@ impl ApiHandler for Flaky {
     fn drop_object(&mut self, kind: &str, silo: u64) -> bool {
         self.inner.drop_object(kind, silo)
     }
-
-    fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
-        self.inner.ret_indicates_oom(func, ret)
-    }
 }
 
 /// With a deadline the guest gives up on a lane nobody serves, so a VM

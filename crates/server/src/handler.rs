@@ -42,6 +42,9 @@ pub struct HandlerOutput {
     /// annotation" (object dies on success); `Some(false)` keeps the wire
     /// handle alive (e.g. a release that only dropped a reference count).
     pub destroyed: Option<bool>,
+    /// The call failed for lack of device memory: the server evicts a
+    /// victim and retries it (buffer-granularity swapping).
+    pub device_oom: bool,
 }
 
 impl Default for HandlerOutput {
@@ -50,6 +53,7 @@ impl Default for HandlerOutput {
             ret: Value::Unit,
             outputs: Vec::new(),
             destroyed: None,
+            device_oom: false,
         }
     }
 }
@@ -91,12 +95,4 @@ pub trait ApiHandler: Send {
     /// Frees an object outside the normal API flow (swap-out eviction and
     /// migration teardown). Returns false if the object was unknown.
     fn drop_object(&mut self, kind: &str, silo: u64) -> bool;
-
-    /// True if `ret` indicates a device out-of-memory condition for this
-    /// function — the trigger for buffer-granularity swapping. Default:
-    /// never.
-    fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
-        let _ = (func, ret);
-        false
-    }
 }

@@ -169,18 +169,6 @@ impl HandleTable {
         )
     }
 
-    /// All wire handles of a given kind that are currently live.
-    pub fn live_of_kind(&self, kind: &str) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .map
-            .iter()
-            .filter(|(_, e)| e.kind == kind && matches!(e.state, HandleState::Live(_)))
-            .map(|(w, _)| *w)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// All entries (wire, entry), sorted by wire handle.
     pub fn entries(&self) -> Vec<(u64, &HandleEntry)> {
         let mut out: Vec<(u64, &HandleEntry)> = self.iter().collect();
@@ -248,16 +236,5 @@ mod tests {
         assert_eq!(*data, vec![1, 2, 3]);
         assert_eq!(t.to_silo(w, "cl_mem").unwrap(), 12);
         assert!(t.mark_live(w, 13).is_err(), "double swap-in rejected");
-    }
-
-    #[test]
-    fn live_of_kind_filters() {
-        let mut t = HandleTable::new();
-        let a = t.insert("cl_mem", 1);
-        let _b = t.insert("cl_context", 2);
-        let c = t.insert("cl_mem", 3);
-        t.mark_swapped(c, Arc::new(vec![])).unwrap();
-        assert_eq!(t.live_of_kind("cl_mem"), vec![a]);
-        assert_eq!(t.len(), 3);
     }
 }

@@ -84,12 +84,13 @@ mod tests {
                 "toy_init" => Ok(HandlerOutput::ret(Value::I32(0))),
                 "toy_create" => {
                     let size = args[0].as_u64().unwrap_or(0) as usize;
-                    if self.fail_next_alloc_with_oom {
-                        self.fail_next_alloc_with_oom = false;
-                        return Ok(HandlerOutput::ret(Value::Null));
-                    }
-                    if self.used() + size > self.capacity {
-                        return Ok(HandlerOutput::ret(Value::Null)); // device OOM
+                    if std::mem::take(&mut self.fail_next_alloc_with_oom)
+                        || self.used() + size > self.capacity
+                    {
+                        return Ok(HandlerOutput {
+                            device_oom: true,
+                            ..HandlerOutput::ret(Value::Null)
+                        });
                     }
                     let silo = self.next_silo;
                     self.next_silo += 1;
@@ -116,9 +117,8 @@ mod tests {
                         .ok_or(ServerError::BadHandle(silo))?;
                     let bytes = obj[..len.min(obj.len())].to_vec();
                     Ok(HandlerOutput {
-                        ret: Value::I32(0),
                         outputs: vec![(1, Value::Bytes(bytes.into()))],
-                        destroyed: None,
+                        ..HandlerOutput::ret(Value::I32(0))
                     })
                 }
                 "toy_destroy" => {
@@ -151,10 +151,6 @@ mod tests {
 
         fn drop_object(&mut self, _kind: &str, silo: u64) -> bool {
             self.objects.remove(&silo).is_some()
-        }
-
-        fn ret_indicates_oom(&self, func: &FunctionDesc, ret: &Value) -> bool {
-            func.name == "toy_create" && ret.is_null()
         }
     }
 

@@ -745,9 +745,8 @@ impl ApiServer {
         let mut evictions = 0;
         loop {
             let out = {
-                let mut handler = self.handler.lock();
-                let out = handler.dispatch(func, args)?;
-                if !handler.ret_indicates_oom(func, &out.ret) {
+                let out = self.handler.lock().dispatch(func, args)?;
+                if !out.device_oom {
                     return Ok(out);
                 }
                 out
