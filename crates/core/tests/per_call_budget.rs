@@ -3,7 +3,8 @@
 //! ring, router and API server together. Three rows: async
 //! `clSetKernelArg` (batched forwarding), sync `clGetMemObjectInfo` (the
 //! round trip) and a recurring async upload with the transfer cache on
-//! (elision).
+//! (elision). The argument check the router runs on every call is held
+//! to zero allocations on its own.
 //!
 //! Wall time on a shared box swings by tens of percent; allocation counts
 //! repeat. Each allocation stands for per-call bookkeeping, so a change
@@ -14,9 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ava_core::{opencl_stack, ApiStack, GuestConfig, GuestLibrary, OpenClClient, StackConfig};
+use ava_core::{
+    opencl_descriptor, opencl_stack, ApiStack, GuestConfig, GuestLibrary, OpenClClient, StackConfig,
+};
 use ava_hypervisor::VmPolicy;
 use ava_transport::TransportKind;
+use ava_wire::Value;
 use simcl::types::*;
 use simcl::{ClApi, SimCl};
 
@@ -234,4 +238,48 @@ fn a_cached_upload_stays_within_its_allocation_budget() {
         per_call <= UPLOAD_BUDGET,
         "{per_call:.2} allocations per cached upload, budget {UPLOAD_BUDGET}"
     );
+}
+
+/// The argument check (`FunctionDesc::verify_args`) the guest and the
+/// router run on every call, over the calls the rows above forward, a
+/// cached payload and a wait list among them: accepting a call must
+/// allocate nothing.
+#[test]
+fn verifying_an_accepted_call_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let desc = opencl_descriptor();
+    let set_arg = vec![
+        Value::Handle(1),
+        Value::U32(2),
+        Value::U64(4),
+        Value::Bytes(vec![0; 4].into()),
+    ];
+    let upload = vec![
+        Value::Handle(1),
+        Value::Handle(2),
+        Value::U32(0),
+        Value::U64(0),
+        Value::U64(8192),
+        Value::CachedBytes {
+            digest: 7,
+            len: 8192,
+        },
+        Value::U32(1),
+        Value::List(vec![Value::Handle(3)]),
+        Value::Null,
+    ];
+    let info = vec![Value::Handle(1), Value::U64(1)];
+    let calls = [
+        (desc.by_name("clSetKernelArg").unwrap(), set_arg),
+        (desc.by_name("clEnqueueWriteBuffer").unwrap(), upload),
+        (desc.by_name("clGetMemObjectInfo").unwrap(), info),
+    ];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..1000 {
+        for (func, args) in &calls {
+            let env = desc.env_for(func, args);
+            func.verify_args(args, &env, &desc.types).unwrap();
+        }
+    }
+    assert_eq!(ALLOCATIONS.load(Ordering::Relaxed) - before, 0);
 }

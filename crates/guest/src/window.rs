@@ -15,7 +15,7 @@ use ava_wire::{
 };
 
 use crate::cache::TxCache;
-use crate::verify::{async_failure, ret_is_success};
+use crate::verify::async_failure;
 use crate::{CallResult, GuestConfig, GuestError, GuestLibrary, Result};
 
 /// Bookkeeping for an async call whose reply has not been consumed yet.
@@ -449,10 +449,7 @@ impl GuestLibrary {
         }
         let mut ret = rep.ret;
         let status = matches!(func.ret, RetDesc::Status { .. });
-        if let Some(deferred) = w
-            .deferred_error
-            .take_if(|_| status && ret_is_success(func, &ret))
-        {
+        if let Some(deferred) = w.deferred_error.take_if(|_| status && func.succeeded(&ret)) {
             ret = deferred;
             self.counters.deferred_errors_delivered.inc();
         }

@@ -83,7 +83,13 @@ mod tests {
             match func.name.as_str() {
                 "toy_init" => Ok(HandlerOutput::ret(Value::I32(0))),
                 "toy_create" => {
-                    let size = args[0].as_u64().unwrap_or(0) as usize;
+                    // Fallible like the bindings' readers: a server driven
+                    // without a router gets no arity check before this.
+                    let size = args
+                        .first()
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| ServerError::BadArguments("toy_create: size".into()))?
+                        as usize;
                     if std::mem::take(&mut self.fail_next_alloc_with_oom)
                         || self.used() + size > self.capacity
                     {
@@ -261,6 +267,8 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert_eq!(rep.call_id, 7);
     }
 
+    /// No router checked this call's arity; the handler's reader refuses
+    /// it, and the server answers cleanly.
     #[test]
     fn wrong_arg_count_is_transport_error() {
         let desc = toy_descriptor();

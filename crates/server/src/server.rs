@@ -552,8 +552,8 @@ impl ApiServer {
         if mode == CallMode::Sync || reply.status != ReplyStatus::Ok {
             return true;
         }
-        match self.desc.by_id(fn_id).map(|f| &f.ret) {
-            Some(RetDesc::Status { success, .. }) => reply.ret.as_i64() != Some(*success),
+        match self.desc.by_id(fn_id) {
+            Some(f) if matches!(f.ret, RetDesc::Status { .. }) => !f.succeeded(&reply.ret),
             // Async forwarding of non-status functions is rejected at
             // lowering time; reply defensively if one slips through.
             _ => true,
@@ -625,14 +625,6 @@ impl ApiServer {
         let func = desc
             .by_id(req.fn_id)
             .ok_or(ServerError::UnknownFunction(req.fn_id))?;
-        if req.args.len() != func.params.len() {
-            return Err(ServerError::BadArguments(format!(
-                "`{}` expects {} args, got {}",
-                func.name,
-                func.params.len(),
-                req.args.len()
-            )));
-        }
 
         // Quota enforcement, decided before any side effect (no eviction,
         // no swap-in, no dispatch) so a refused call leaves the server
@@ -671,12 +663,7 @@ impl ApiServer {
 
         let destroyed = out.destroyed;
         let (ret, outputs, produced) = self.translate_outputs(func, out, None)?;
-        let call_succeeded = match (&func.ret, &ret) {
-            (RetDesc::Status { success, .. }, v) => v.as_i64() == Some(*success),
-            (RetDesc::Handle { .. }, Value::Null) => false,
-            _ => true,
-        };
-        if !call_succeeded {
+        if !func.succeeded(&ret) {
             return Ok((ret, outputs));
         }
         // Deallocations retire the handle's entry, records and residency
@@ -792,23 +779,18 @@ impl ApiServer {
         None
     }
 
-    /// Translates wire-form arguments to silo form (wire handles → silo
-    /// handles); everything else passes through.
+    /// Translates wire-form arguments to silo form: a wire handle, alone
+    /// or in a handle list, becomes its silo handle once the handle table
+    /// confirms its kind; everything else passes through. Shapes are not
+    /// checked here: the router checks them against the spec
+    /// (`FunctionDesc::verify_args`), and a server driven without one
+    /// leaves a misshapen value to the binding's reader to refuse.
     fn translate_args(&mut self, func: &FunctionDesc, args: &[Value]) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(args.len());
         for (param, arg) in func.params.iter().zip(args.iter()) {
             let translated = match (&param.transfer, arg) {
                 (Transfer::Handle { kind, .. }, Value::Handle(wire)) => {
-                    let silo = self.handles.to_silo(*wire, kind)?;
-                    self.touch(*wire);
-                    Value::Handle(silo)
-                }
-                (Transfer::Handle { .. }, Value::Null) if param.nullable => Value::Null,
-                (Transfer::Handle { .. }, other) => {
-                    return Err(ServerError::BadArguments(format!(
-                        "parameter `{}` expects a handle, got {other:?}",
-                        param.name
-                    )))
+                    self.translate_handle(*wire, kind)?
                 }
                 (
                     Transfer::Buffer {
@@ -816,30 +798,27 @@ impl ApiServer {
                         ..
                     },
                     Value::List(items),
-                ) => {
-                    let mut translated = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item {
-                            Value::Handle(wire) => {
-                                let silo = self.handles.to_silo(*wire, kind)?;
-                                self.touch(*wire);
-                                translated.push(Value::Handle(silo));
-                            }
-                            other => {
-                                return Err(ServerError::BadArguments(format!(
-                                    "handle list for `{}` contains {other:?}",
-                                    param.name
-                                )))
-                            }
-                        }
-                    }
-                    Value::List(translated)
-                }
+                ) => Value::List(
+                    items
+                        .iter()
+                        .map(|item| match item {
+                            Value::Handle(wire) => self.translate_handle(*wire, kind),
+                            other => Ok(other.clone()),
+                        })
+                        .collect::<Result<_>>()?,
+                ),
                 (_, other) => other.clone(),
             };
             out.push(translated);
         }
         Ok(out)
+    }
+
+    /// One wire handle of `kind` as its silo handle, touched for the LRU.
+    fn translate_handle(&mut self, wire: u64, kind: &str) -> Result<Value> {
+        let silo = self.handles.to_silo(wire, kind)?;
+        self.touch(wire);
+        Ok(Value::Handle(silo))
     }
 
     /// Translates handler outputs (silo handles) back to wire form and

@@ -44,6 +44,9 @@ pub enum SpecErrorKind {
     /// The spec is structurally valid but cannot be lowered to a runtime
     /// descriptor (e.g. a pointer parameter with no size information).
     Lowering(String),
+    /// A call's arguments break its function's spec (arity, value shape
+    /// or buffer length); the message names the parameter.
+    Argument(String),
 }
 
 impl SpecError {
@@ -71,6 +74,7 @@ impl fmt::Display for SpecError {
             SpecErrorKind::Conflict(m) => format!("conflicting annotation: {m}"),
             SpecErrorKind::Eval(m) => format!("expression error: {m}"),
             SpecErrorKind::Lowering(m) => format!("lowering error: {m}"),
+            SpecErrorKind::Argument(m) => m.clone(),
         };
         if self.loc.line == 0 {
             write!(f, "{what}")
