@@ -190,7 +190,8 @@ impl OpenClHandler {
                     elem_size: args.usize(4)?,
                 };
                 let result = cl.create_image(ClContext(ctx), flags, desc, args.opt_bytes(5)?);
-                (self.new_mem(result, ctx, desc.byte_len()), 6)
+                let size = desc.byte_len().unwrap_or(0);
+                (self.new_mem(result, ctx, size), 6)
             }
             Cl::CreateProgramWithSource => {
                 let ctx = ClContext(args.handle(0)?);

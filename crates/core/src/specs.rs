@@ -302,10 +302,32 @@ mod tests {
         let deallocs = desc
             .functions
             .iter()
-            .filter(|f| f.record == Some(RecordCategory::Dealloc))
+            .filter(|f| {
+                f.params.iter().any(|p| {
+                    matches!(
+                        p.transfer,
+                        ava_spec::Transfer::Handle {
+                            deallocates: true,
+                            ..
+                        }
+                    )
+                })
+            })
+            .count();
+        let writes = desc
+            .functions
+            .iter()
+            .filter(|f| matches!(f.record, Some(RecordCategory::Writes { .. })))
             .count();
         assert!(allocs >= 6, "{allocs} alloc-recorded functions");
-        assert!(deallocs >= 6, "{deallocs} dealloc-recorded functions");
+        assert!(
+            deallocs >= 6,
+            "{deallocs} functions with a `deallocates` parameter"
+        );
+        assert_eq!(
+            writes, 5,
+            "clSetKernelArg*, clBuildProgram, clCompileProgram"
+        );
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn opencl_script(api: &dyn ClApi) -> Vec<String> {
             ctx,
             MemFlags::read_write(),
             image_desc,
-            Some(&vec![7u8; image_desc.byte_len()]),
+            Some(&vec![7u8; image_desc.byte_len().unwrap()]),
         )
         .unwrap();
     t.note("clGetMemObjectInfo", api.get_mem_object_info(a));
@@ -247,7 +247,7 @@ fn opencl_script(api: &dyn ClApi) -> Vec<String> {
         .unwrap()
         .expect("event requested");
     t.note("clEnqueueReadBuffer(a)", out);
-    let mut out = vec![0u8; image_desc.byte_len()];
+    let mut out = vec![0u8; image_desc.byte_len().unwrap()];
     t.note(
         "clEnqueueReadBuffer(image)",
         api.enqueue_read_buffer(queue, image, true, 0, &mut out, &[], false),

@@ -894,12 +894,15 @@ impl Lane {
     }
 
     /// Verifies a call against the API descriptor and accounts its
-    /// estimated cost; `false` refuses an unknown function id or arguments
+    /// estimated cost; `false` refuses an unknown function id, arguments
     /// that break the spec (`FunctionDesc::verify_args`, which the guest
     /// runs too, but inside the VM), so the estimates only read checked
-    /// arguments. Device-memory quotas are enforced at the server (it owns
-    /// the authoritative residency accounting, including swapped bytes);
-    /// the router only keeps the cost estimates.
+    /// arguments, and a `resource` estimate that does not evaluate (an
+    /// overflowing product, say): a number the router cannot charge is
+    /// one the host must not use. Device-memory quotas are enforced at
+    /// the server (it owns the authoritative residency accounting,
+    /// including swapped bytes); the router only keeps the cost
+    /// estimates.
     fn verify(&self, req: &CallRequest, descriptor: Option<&ApiDescriptor>) -> bool {
         let Some(desc) = descriptor else {
             return true;
@@ -911,14 +914,23 @@ impl Lane {
         if func.verify_args(&req.args, &env, &desc.types).is_err() {
             return false;
         }
+        // Every estimate must evaluate before any is charged.
+        let (mut time_us, mut mem) = (0.0, 0.0);
         for res in &func.resources {
-            if let Ok(v) = res.amount.eval(&env, &desc.types) {
-                match res.resource.as_str() {
-                    "device_time_us" => self.metrics.est_device_time_us.add(v as f64),
-                    "device_mem" => self.metrics.est_device_mem.add(v as f64),
-                    _ => {}
-                }
+            let Ok(v) = res.amount.eval(&env, &desc.types) else {
+                return false;
+            };
+            match res.resource.as_str() {
+                "device_time_us" => time_us += v as f64,
+                "device_mem" => mem += v as f64,
+                _ => {}
             }
+        }
+        if time_us != 0.0 {
+            self.metrics.est_device_time_us.add(time_us);
+        }
+        if mem != 0.0 {
+            self.metrics.est_device_mem.add(mem);
         }
         true
     }

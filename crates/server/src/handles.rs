@@ -6,9 +6,8 @@
 //! type-checked. An entry can also be in the `Swapped` state, meaning its
 //! device-side object was evicted and its payload parked in host memory
 //! (buffer-granularity swapping, §4.3). Each entry also carries what the
-//! server knows about the object — its estimated device bytes, its LRU
-//! stamp and the objects it references — so retiring a handle is one
-//! `remove`.
+//! server knows about the object — its estimated device bytes and its
+//! LRU stamp — so retiring a handle is one `remove`.
 
 use std::sync::Arc;
 
@@ -46,11 +45,6 @@ pub struct HandleEntry {
     /// The server's LRU clock at the object's last use (0: never used);
     /// swap victims are the least recent.
     pub(crate) last_use: u64,
-    /// Objects this one references, learned from modify records (a
-    /// kernel binding a buffer via `clSetKernelArgMem`): a call that names
-    /// this object must fault them back in too, because the device touches
-    /// them without their handles appearing in the argument list.
-    pub(crate) deps: Vec<u64>,
 }
 
 impl HandleEntry {
@@ -60,7 +54,6 @@ impl HandleEntry {
             state: HandleState::Live(silo),
             bytes: None,
             last_use: 0,
-            deps: Vec::new(),
         }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * **handle translation** — guests only ever see server-minted wire
 //!   handles;
-//! * **object tracking** — calls annotated `record(...)` are logged;
+//! * **object tracking** — annotated calls are logged, writes once per slot;
 //! * **VM migration** — snapshot (records + buffer payloads) and restore
 //!   by replay on another host;
 //! * **buffer-granularity memory swapping** — on device OOM or
@@ -39,12 +39,12 @@ pub use error::{Result, ServerError};
 pub use handler::{shared_handler, ApiHandler, HandlerOutput, SharedHandler};
 pub use handles::{HandleEntry, HandleState, HandleTable};
 pub use memory::{MemoryManager, MemoryStats};
-pub use record::{CallJournal, JournalEntry, MigrationImage, RecordLog, RecordedCall};
+pub use record::{CallJournal, JournalEntry, MigrationImage, RecordedCall};
 pub use server::{serve_with, ApiServer, ServerStats};
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
     use std::sync::Arc;
 
     use ava_spec::{compile_spec, ApiDescriptor, FunctionDesc, LowerOptions, MapResolver};
@@ -58,6 +58,10 @@ mod tests {
         next_silo: u64,
         /// silo handle → (capacity, contents)
         objects: HashMap<u64, Vec<u8>>,
+        /// silo handle → reference count
+        refs: HashMap<u64, u32>,
+        /// (holder silo, slot) → the silo bound there
+        binds: BTreeMap<(u64, u64), u64>,
         /// Simulated device capacity in bytes.
         capacity: usize,
         fail_next_alloc_with_oom: bool,
@@ -68,6 +72,8 @@ mod tests {
             ToyHandler {
                 next_silo: 1,
                 objects: HashMap::new(),
+                refs: HashMap::new(),
+                binds: BTreeMap::new(),
                 capacity,
                 fail_next_alloc_with_oom: false,
             }
@@ -101,6 +107,7 @@ mod tests {
                     let silo = self.next_silo;
                     self.next_silo += 1;
                     self.objects.insert(silo, vec![0; size]);
+                    self.refs.insert(silo, 1);
                     Ok(HandlerOutput::ret(Value::Handle(silo)))
                 }
                 "toy_write" => {
@@ -132,7 +139,46 @@ mod tests {
                     self.objects.remove(&silo);
                     Ok(HandlerOutput::ret(Value::I32(0)))
                 }
-                "toy_bind" | "toy_use" => Ok(HandlerOutput::ret(Value::I32(0))),
+                "toy_retain" | "toy_release" => {
+                    let silo = args[0].as_handle().expect("handle arg");
+                    let refs = self.refs.entry(silo).or_default();
+                    if func.name == "toy_retain" {
+                        *refs += 1;
+                        return Ok(HandlerOutput::ret(Value::I32(0)));
+                    }
+                    *refs = refs.saturating_sub(1);
+                    let died = *refs == 0;
+                    if died {
+                        self.objects.remove(&silo);
+                    }
+                    Ok(HandlerOutput {
+                        destroyed: Some(died),
+                        ..HandlerOutput::ret(Value::I32(0))
+                    })
+                }
+                "toy_bind" => {
+                    let holder = args[0].as_handle().expect("handle arg");
+                    let slot = args[1].as_u64().expect("slot arg");
+                    let dep = args[2].as_handle().expect("handle arg");
+                    self.binds.insert((holder, slot), dep);
+                    Ok(HandlerOutput::ret(Value::I32(0)))
+                }
+                // The contents of every live object bound to `holder`, in
+                // slot order.
+                "toy_gather" => {
+                    let holder = args[0].as_handle().expect("handle arg");
+                    let bound = self.binds.range((holder, 0)..=(holder, u64::MAX));
+                    let bytes: Vec<u8> = bound
+                        .filter_map(|(_, dep)| self.objects.get(dep))
+                        .flatten()
+                        .copied()
+                        .collect();
+                    Ok(HandlerOutput {
+                        outputs: vec![(1, Value::Bytes(bytes.into()))],
+                        ..HandlerOutput::ret(Value::I32(0))
+                    })
+                }
+                "toy_use" => Ok(HandlerOutput::ret(Value::I32(0))),
                 other => Err(ServerError::Handler(format!("unknown fn {other}"))),
             }
         }
@@ -172,17 +218,25 @@ toy_buf toy_create(size_t size) {
   resource(device_mem, size);
 }
 toy_status toy_write(toy_buf buf, const void *data, size_t data_size) {
-  record(modify);
+  writes(buf);
   parameter(data) { buffer(data_size); }
 }
 toy_status toy_read(toy_buf buf, void *out, size_t out_size) {
   parameter(out) { out; buffer(out_size); }
 }
 toy_status toy_destroy(toy_buf buf) {
-  record(dealloc);
   parameter(buf) { deallocates; }
 }
-toy_status toy_bind(toy_buf holder, toy_buf dep) { record(modify); }
+toy_status toy_retain(toy_buf buf) { }
+toy_status toy_release(toy_buf buf) {
+  parameter(buf) { deallocates; }
+}
+toy_status toy_bind(toy_buf holder, unsigned int slot, toy_buf dep) {
+  writes(holder, slot);
+}
+toy_status toy_gather(toy_buf holder, void *out, size_t out_size) {
+  parameter(out) { out; buffer(out_size); }
+}
 toy_status toy_use(toy_buf a, toy_buf b) { }
 "#;
 
@@ -218,6 +272,12 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         ));
         assert_eq!(rep.status, ReplyStatus::Ok);
         assert_eq!(rep.ret, Value::I32(0));
+    }
+
+    fn bind(server: &mut ApiServer, desc: &ApiDescriptor, holder: u64, slot: u32, dep: u64) {
+        let args = vec![Value::Handle(holder), Value::U32(slot), Value::Handle(dep)];
+        let rep = server.handle_call(call(desc, "toy_bind", args));
+        assert_eq!(rep.status, ReplyStatus::Ok);
     }
 
     fn read_buf(server: &mut ApiServer, desc: &ApiDescriptor, h: u64, len: u64) -> Vec<u8> {
@@ -419,8 +479,8 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
                 server.handle_call(call(&desc, name, vec![Value::Handle(a), Value::Handle(b)]));
             assert_eq!(rep.status, ReplyStatus::Ok);
         };
-        // b1 now references b2, so a call naming b1 reaches b2 as well.
-        two(&mut server, "toy_bind", b1, b2);
+        // b1 now holds b2 in a slot, so a call naming b1 reaches b2 too.
+        bind(&mut server, &desc, b1, 0, b2);
         // Reached: the arguments b3 then b1, and b1's closure {b2}. The
         // closure is touched first, then the arguments in parameter order.
         two(&mut server, "toy_use", b3, b1);
@@ -436,6 +496,23 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
             !server.swap_out_one_victim().unwrap(),
             "nothing resident is left"
         );
+    }
+
+    #[test]
+    fn a_rebound_slot_no_longer_pins_its_old_buffer() {
+        let desc = toy_descriptor();
+        let mut server = ApiServer::new(Arc::clone(&desc), Box::new(ToyHandler::new(1024)));
+        let [holder, a, b] = [1, 2, 4].map(|size| create_buf(&mut server, &desc, size));
+        bind(&mut server, &desc, holder, 0, a);
+        bind(&mut server, &desc, holder, 0, b);
+        server.swap_out(a, "toy_buf").unwrap();
+        read_buf(&mut server, &desc, holder, 1);
+        assert_eq!(
+            server.stats().swap_ins,
+            0,
+            "a call naming the holder faulted A in"
+        );
+        assert_eq!(server.live_device_mem(), 1 + 4, "A stays swapped");
     }
 
     #[test]
@@ -1131,6 +1208,190 @@ toy_status toy_use(toy_buf a, toy_buf b) { }
         assert_eq!(dup[0], reps[0]);
         assert_eq!(target.stats().duplicates_suppressed, 1);
         assert_eq!(target.stats().calls, 0, "nothing re-executed post-restore");
+    }
+
+    /// One step of the slot-log property test. Each `usize` picks one of
+    /// the live buffers; a write covers the first `len` bytes.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Create(u64),
+        Write {
+            buf: usize,
+            byte: u8,
+            len: u64,
+        },
+        Bind {
+            holder: usize,
+            slot: u32,
+            dep: usize,
+        },
+        Retain(usize),
+        Release(usize),
+        Destroy(usize),
+    }
+
+    fn arb_op() -> proptest::prelude::BoxedStrategy<Op> {
+        use proptest::prelude::*;
+        let bind = (any::<usize>(), 0u32..3, any::<usize>());
+        prop_oneof![
+            (1u64..=8).prop_map(Op::Create),
+            (any::<usize>(), any::<u8>(), 1u64..=8).prop_map(|(buf, byte, len)| Op::Write {
+                buf,
+                byte,
+                len
+            }),
+            bind.prop_map(|(holder, slot, dep)| Op::Bind { holder, slot, dep }),
+            any::<usize>().prop_map(Op::Retain),
+            any::<usize>().prop_map(Op::Release),
+            any::<usize>().prop_map(Op::Destroy),
+        ]
+    }
+
+    /// A toy VM as the test sees it: each live buffer's (wire handle,
+    /// size, references), and the records the server must hold for them.
+    #[derive(Default)]
+    struct Model {
+        live: Vec<(u64, u64, u32)>,
+        /// Buffers written by `toy_write` (one slot each).
+        written: std::collections::BTreeSet<u64>,
+        /// (holder, slot) → the buffer bound there.
+        bound: BTreeMap<(u64, u32), u64>,
+    }
+
+    impl Model {
+        /// The live buffer `pick` names, if any buffer lives.
+        fn pick(&self, pick: usize) -> Option<u64> {
+            (!self.live.is_empty()).then(|| self.live[pick % self.live.len()].0)
+        }
+
+        /// The request for `op`, or `None` when it names no live buffer.
+        fn request(&self, op: Op) -> Option<(&'static str, Vec<Value>)> {
+            let handle = |pick| self.pick(pick).map(Value::Handle);
+            Some(match op {
+                Op::Create(size) => ("toy_create", vec![Value::U64(size)]),
+                Op::Write { buf, byte, len } => {
+                    let data = Value::Bytes(vec![byte; len as usize].into());
+                    ("toy_write", vec![handle(buf)?, data, Value::U64(len)])
+                }
+                Op::Bind { holder, slot, dep } => {
+                    let args = vec![handle(holder)?, Value::U32(slot), handle(dep)?];
+                    ("toy_bind", args)
+                }
+                Op::Retain(buf) => ("toy_retain", vec![handle(buf)?]),
+                Op::Release(buf) => ("toy_release", vec![handle(buf)?]),
+                Op::Destroy(buf) => ("toy_destroy", vec![handle(buf)?]),
+            })
+        }
+
+        /// Applies an executed request and its reply.
+        fn apply(&mut self, name: &str, args: &[Value], reply: &ava_wire::CallReply) {
+            let wire = |i: usize| args[i].as_handle().unwrap();
+            let at = |live: &[(u64, u64, u32)], w| live.iter().position(|e| e.0 == w).unwrap();
+            let dies = match name {
+                "toy_create" => {
+                    let size = args[0].as_u64().unwrap();
+                    self.live.push((reply.ret.as_handle().unwrap(), size, 1));
+                    None
+                }
+                "toy_write" => {
+                    self.written.insert(wire(0));
+                    None
+                }
+                "toy_bind" => {
+                    let slot = args[1].as_u64().unwrap() as u32;
+                    self.bound.insert((wire(0), slot), wire(2));
+                    None
+                }
+                "toy_retain" => {
+                    let i = at(&self.live, wire(0));
+                    self.live[i].2 += 1;
+                    None
+                }
+                "toy_release" => {
+                    let i = at(&self.live, wire(0));
+                    self.live[i].2 -= 1;
+                    (self.live[i].2 == 0).then(|| wire(0))
+                }
+                _ => Some(wire(0)),
+            };
+            if let Some(dead) = dies {
+                self.live.retain(|e| e.0 != dead);
+                self.written.remove(&dead);
+                self.bound
+                    .retain(|&(holder, _), dep| holder != dead && *dep != dead);
+            }
+        }
+
+        /// Records a slot log holds: one per live buffer and one per slot.
+        fn records(&self) -> usize {
+            self.live.len() + self.written.len() + self.bound.len()
+        }
+
+        /// What a server reads back: each live buffer's contents and the
+        /// contents of the buffers bound in its slots.
+        fn read_back(&self, server: &mut ApiServer, desc: &ApiDescriptor) -> Vec<[Vec<u8>; 2]> {
+            self.live
+                .iter()
+                .map(|&(h, size, _)| {
+                    let gather = vec![Value::Handle(h), Value::Null, Value::U64(64)];
+                    let rep = server.handle_call(call(desc, "toy_gather", gather));
+                    let gathered = rep.outputs[0].1.as_bytes().unwrap().to_vec();
+                    [read_buf(server, desc, h, size), gathered]
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The slot log keeps one record per live object and slot, yet a
+        /// server restored from its image reads back what replaying every
+        /// call the VM made does (the crash-recovery path, the reference).
+        #[test]
+        fn the_slot_log_restores_what_replaying_the_whole_journal_does(
+            ops in proptest::collection::vec(arb_op(), 1..60),
+        ) {
+            use ava_transport::{CostModel, TransportKind};
+            use std::sync::Mutex;
+            let desc = toy_descriptor();
+            let device = || Box::new(ToyHandler::new(1 << 16));
+            let journal = Arc::new(Mutex::new(CallJournal::new()));
+            let mut server = ApiServer::new(Arc::clone(&desc), device());
+            server.set_journal(Arc::clone(&journal));
+            let (client, server_end) =
+                ava_transport::pair(TransportKind::InProcess, CostModel::free()).unwrap();
+            let mut model = Model::default();
+            for (call_id, op) in (1..).zip(ops) {
+                let Some((name, args)) = model.request(op) else { continue };
+                let req = CallRequest {
+                    call_id,
+                    fn_id: desc.by_name(name).unwrap().id,
+                    mode: CallMode::Sync,
+                    args: args.clone(),
+                    budget_us: 0,
+                };
+                let msg = ava_wire::Message::Call(req);
+                let reps = pump(&mut server, server_end.as_ref(), client.as_ref(), msg);
+                proptest::prop_assert_eq!(reps[0].status, ReplyStatus::Ok);
+                model.apply(name, &args, &reps[0]);
+            }
+            proptest::prop_assert_eq!(server.recorded_calls(), model.records());
+            let image = server.snapshot();
+            let original = model.read_back(&mut server, &desc);
+
+            let entries = journal.lock().unwrap().entries().to_vec();
+            let mut replayed = ApiServer::new(Arc::clone(&desc), device());
+            replayed.replay_journal(&entries);
+            let reference = model.read_back(&mut replayed, &desc);
+            proptest::prop_assert_eq!(&original, &reference);
+
+            let mut restored =
+                ApiServer::restore_with(Arc::clone(&desc), shared_handler(device()), &image)
+                    .unwrap();
+            proptest::prop_assert_eq!(model.read_back(&mut restored, &desc), reference);
+            proptest::prop_assert_eq!(restored.recorded_calls(), model.records());
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Record-and-replay support for VM migration (§4.3) and swap-in.
 //!
-//! Functions annotated `record(config|alloc|modify)` in the specification
-//! are logged (in wire form, pre-translation) as they execute. To migrate,
-//! AvA suspends invocations, synthesizes copies of extant device buffers,
-//! and frees device resources; on arrival it replays the recorded calls to
-//! reinitialize the device and reallocate objects, restores buffer
-//! contents, and resumes — the Nooks-style object tracking the paper cites.
+//! The spec says what each call leaves behind, and the `RecordLog`
+//! keeps exactly that (in wire form, pre-translation): every
+//! `record(config)` call, the `record(alloc)` call of each live object,
+//! and the latest call to write each state slot a `writes(...)`
+//! annotation names. To migrate, AvA suspends invocations, synthesizes
+//! copies of extant device buffers, and frees device resources; on
+//! arrival it replays the records to reinitialize the device and
+//! reallocate objects, restores buffer contents, and resumes — the
+//! Nooks-style object tracking the paper cites.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use ava_spec::RecordCategory;
+use ava_spec::{FunctionDesc, RecordCategory};
+use ava_telemetry::IntMap;
 use ava_wire::{CallId, CallMode, CallReply, CallRequest, FnId, Value};
 
 /// How many recent sync replies are kept for duplicate suppression. The
@@ -18,14 +22,12 @@ use ava_wire::{CallId, CallMode, CallReply, CallRequest, FnId, Value};
 pub(crate) const REPLY_CACHE_CAP: usize = 64;
 
 /// One recorded call.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordedCall {
     /// Function id within the API descriptor.
     pub fn_id: FnId,
     /// Arguments in wire form (handles are wire handles).
     pub args: Vec<Value>,
-    /// Record category.
-    pub category: RecordCategory,
     /// Every wire handle this call produced, in canonical order (return
     /// value first, then outputs in parameter order, list elements in
     /// sequence), with its handle kind. Replay rebinds these to the
@@ -33,80 +35,129 @@ pub struct RecordedCall {
     pub produced: Vec<(u64, String)>,
 }
 
-impl RecordedCall {
-    /// The primary created handle (for alloc records).
-    pub fn created_wire(&self) -> Option<u64> {
-        self.produced.first().map(|(w, _)| *w)
-    }
+/// The records that rebuild a VM's device state. A record replays at
+/// its latest write, so every record replays after the objects its
+/// arguments name were created.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RecordLog {
+    /// Records by the sequence number of their latest write.
+    order: BTreeMap<u64, RecordedCall>,
+    next: u64,
+    /// Created wire handle → its `alloc` record's sequence number.
+    allocs: IntMap<u64, u64>,
+    /// Holder wire handle → its slots.
+    slots: IntMap<u64, Vec<Slot>>,
 }
 
-/// The ordered log of recorded calls; vector order is replay order.
-#[derive(Debug, Default, Clone)]
-pub struct RecordLog {
-    calls: Vec<RecordedCall>,
+/// One slot of an object.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The values of the key's index parameters.
+    index: Vec<i64>,
+    /// The sequence number of the slot's latest write.
+    seq: u64,
+    /// The wire handles that write names.
+    held: Vec<u64>,
 }
 
 impl RecordLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
+    /// Records a succeeded call of `func` as its spec says: a `config`
+    /// call for good, an `alloc` call until [`RecordLog::cancel`] names
+    /// the handle it created, and a `writes` call in place of its slot's
+    /// older record.
+    pub fn record(&mut self, func: &FunctionDesc, args: &[Value], produced: Vec<(u64, String)>) {
+        let seq = self.next;
+        self.next += 1;
+        let older = match &func.record {
+            None => return,
+            Some(RecordCategory::Config) => None,
+            Some(RecordCategory::Alloc) => {
+                if let Some(&(wire, _)) = produced.first() {
+                    self.allocs.insert(wire, seq);
+                }
+                None
+            }
+            Some(RecordCategory::Writes { holder, index }) => {
+                // A write that names no object has no slot to replay into.
+                let Some(holder) = args.get(*holder).and_then(Value::as_handle) else {
+                    return;
+                };
+                let index = index.iter();
+                let index = index.map(|&i| args.get(i).and_then(Value::as_i64).unwrap_or(0));
+                let slots = self.slots.entry(holder).or_default();
+                let at = slots
+                    .iter()
+                    .position(|s| s.index.iter().copied().eq(index.clone()));
+                let at = at.unwrap_or_else(|| {
+                    let (index, held) = (index.collect(), Vec::new());
+                    slots.push(Slot { index, seq, held });
+                    slots.len() - 1
+                });
+                let slot = &mut slots[at];
+                slot.held.clear();
+                args.iter().for_each(|a| handles_in(a, &mut slot.held));
+                self.order.remove(&std::mem::replace(&mut slot.seq, seq))
+            }
+        };
+        // A rewrite reuses the older record's argument vector.
+        let mut call = older.unwrap_or_default();
+        call.fn_id = func.id;
+        call.args.clear();
+        call.args.extend_from_slice(args);
+        call.produced = produced;
+        self.order.insert(seq, call);
     }
 
-    /// Appends a recorded call.
-    pub fn record(
-        &mut self,
-        fn_id: FnId,
-        args: Vec<Value>,
-        category: RecordCategory,
-        produced: Vec<(u64, String)>,
-    ) {
-        self.calls.push(RecordedCall {
-            fn_id,
-            args,
-            category,
-            produced,
-        });
-    }
-
-    /// Cancels tracking for a deallocated object: removes its `alloc`
-    /// record and every `modify` record that references its wire handle.
-    pub fn cancel_for_handle(&mut self, wire: u64) {
-        self.calls.retain(|c| {
-            let creates = c.category == RecordCategory::Alloc && c.created_wire() == Some(wire);
-            let modifies = c.category == RecordCategory::Modify
-                && c.args.iter().any(|a| references_handle(a, wire));
-            !(creates || modifies)
+    /// Forgets a deallocated object: its `alloc` record, its slots, and
+    /// every slot whose latest write names it. Config records stay.
+    pub fn cancel(&mut self, wire: u64) {
+        let own_slots = self.slots.remove(&wire).unwrap_or_default();
+        let own_alloc = self.allocs.remove(&wire);
+        for seq in own_slots.iter().map(|s| s.seq).chain(own_alloc) {
+            self.order.remove(&seq);
+        }
+        let order = &mut self.order;
+        self.slots.retain(|_, slots| {
+            slots.retain(|s| {
+                let names = s.held.contains(&wire);
+                if names {
+                    order.remove(&s.seq);
+                }
+                !names
+            });
+            !slots.is_empty()
         });
     }
 
     /// The `alloc` record that created `wire`, if tracked.
     pub fn alloc_record_for(&self, wire: u64) -> Option<&RecordedCall> {
-        self.calls
-            .iter()
-            .find(|c| c.category == RecordCategory::Alloc && c.created_wire() == Some(wire))
+        self.order.get(self.allocs.get(&wire)?)
     }
 
-    /// All records in replay (original temporal) order.
+    /// The wire handles named by the latest write of each of `holder`'s
+    /// slots.
+    pub fn held_by(&self, holder: u64) -> impl Iterator<Item = u64> + '_ {
+        let slots = self.slots.get(&holder).into_iter().flatten();
+        slots.flat_map(|s| s.held.iter().copied())
+    }
+
+    /// All records in replay order.
     pub fn replay_order(&self) -> impl Iterator<Item = &RecordedCall> {
-        self.calls.iter()
+        self.order.values()
     }
 
     /// Number of records currently tracked.
     pub fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    /// True if nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.calls.is_empty()
+        self.order.len()
     }
 }
 
-fn references_handle(value: &Value, wire: u64) -> bool {
+/// Pushes every wire handle in `value` onto `out`.
+fn handles_in(value: &Value, out: &mut Vec<u64>) {
     match value {
-        Value::Handle(h) => *h == wire,
-        Value::List(items) => items.iter().any(|v| references_handle(v, wire)),
-        _ => false,
+        Value::Handle(h) => out.push(*h),
+        Value::List(items) => items.iter().for_each(|v| handles_in(v, out)),
+        _ => {}
     }
 }
 
@@ -142,7 +193,7 @@ pub struct JournalEntry {
 /// The base is a [`MigrationImage`]: empty when the VM attaches, and
 /// replaced by the image every planned move takes ([`CallJournal::rebase`]).
 /// The suffix holds *every* call executed since — not just the
-/// `record`-annotated ones the [`RecordLog`] keeps — because after a crash
+/// `record`-annotated ones the `RecordLog` keeps — because after a crash
 /// there is no chance to snapshot buffers, and kernel launches or writes
 /// that mutated device state must be re-run, not restored. Any server for
 /// the VM is built the same way: restore the base, replay the suffix. The
@@ -230,51 +281,94 @@ impl CallJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ava_spec::{compile_spec, ApiDescriptor, LowerOptions, MapResolver};
 
-    fn alloc(log: &mut RecordLog, fn_id: u32, wire: u64) {
-        log.record(
-            fn_id,
-            vec![Value::U64(64)],
-            RecordCategory::Alloc,
-            vec![(wire, "buf".to_string())],
-        );
+    const SPEC: &str = r#"
+typedef struct _b *buf;
+int cfg(buf b) { record(config); }
+buf create(unsigned long n) { record(alloc); }
+int set(buf b, int slot, buf v) { writes(b, slot); }
+int set_list(buf b, int slot, unsigned int n, const buf *vs) {
+  writes(b, slot);
+  parameter(vs) { buffer(n); }
+}
+"#;
+
+    fn desc() -> ApiDescriptor {
+        compile_spec(SPEC, &MapResolver::new(), LowerOptions::default()).unwrap()
+    }
+
+    fn alloc(log: &mut RecordLog, desc: &ApiDescriptor, wire: u64) {
+        let create = desc.by_name("create").unwrap();
+        log.record(create, &[Value::U64(64)], vec![(wire, "buf".to_string())]);
+    }
+
+    /// Binds `value` in slot `slot` of `holder`.
+    fn set(log: &mut RecordLog, desc: &ApiDescriptor, holder: u64, slot: i32, value: Value) {
+        let args = [Value::Handle(holder), Value::I32(slot), value];
+        log.record(desc.by_name("set").unwrap(), &args, vec![]);
+    }
+
+    fn fn_ids(log: &RecordLog) -> Vec<u32> {
+        log.replay_order().map(|c| c.fn_id).collect()
     }
 
     #[test]
     fn records_keep_temporal_order() {
-        let mut log = RecordLog::new();
-        log.record(0, vec![], RecordCategory::Config, vec![]);
-        alloc(&mut log, 1, 100);
-        log.record(2, vec![Value::Handle(100)], RecordCategory::Modify, vec![]);
-        let fn_ids: Vec<u32> = log.replay_order().map(|c| c.fn_id).collect();
-        assert_eq!(fn_ids, vec![0, 1, 2]);
+        let (desc, mut log) = (desc(), RecordLog::default());
+        log.record(desc.by_name("cfg").unwrap(), &[Value::Null], vec![]);
+        alloc(&mut log, &desc, 100);
+        set(&mut log, &desc, 100, 0, Value::Handle(100));
+        assert_eq!(fn_ids(&log), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_write_replaces_its_slot_and_replays_last() {
+        let (desc, mut log) = (desc(), RecordLog::default());
+        alloc(&mut log, &desc, 100);
+        set(&mut log, &desc, 100, 0, Value::Handle(7));
+        set(&mut log, &desc, 100, 1, Value::Null);
+        alloc(&mut log, &desc, 101);
+        set(&mut log, &desc, 100, 0, Value::Handle(101));
+        assert_eq!(log.len(), 4, "two allocs and two slots");
+        // The rebind replays after the buffer it binds was created.
+        let order: Vec<&[Value]> = log.replay_order().map(|c| &c.args[..]).collect();
+        assert_eq!(order[2], [Value::U64(64)]);
+        assert_eq!(order[3][2], Value::Handle(101));
+        let held: Vec<u64> = log.held_by(100).collect();
+        assert!(held.contains(&101));
+        assert!(!held.contains(&7));
     }
 
     #[test]
     fn cancel_removes_alloc_and_its_modifies() {
-        let mut log = RecordLog::new();
-        alloc(&mut log, 1, 100);
-        alloc(&mut log, 1, 101);
-        log.record(2, vec![Value::Handle(100)], RecordCategory::Modify, vec![]);
-        log.record(2, vec![Value::Handle(101)], RecordCategory::Modify, vec![]);
-        log.cancel_for_handle(100);
+        let (desc, mut log) = (desc(), RecordLog::default());
+        alloc(&mut log, &desc, 100);
+        alloc(&mut log, &desc, 101);
+        set(&mut log, &desc, 100, 0, Value::Null);
+        set(&mut log, &desc, 101, 0, Value::Null);
+        set(&mut log, &desc, 101, 1, Value::Handle(100));
+        log.cancel(100);
         assert_eq!(log.len(), 2);
         assert!(log.alloc_record_for(100).is_none());
         assert!(log.alloc_record_for(101).is_some());
+        assert_eq!(log.held_by(100).count(), 0);
+        assert_eq!(
+            log.held_by(101).collect::<Vec<_>>(),
+            [101],
+            "the slot naming 100 went"
+        );
     }
 
     #[test]
     fn cancel_finds_handles_inside_lists() {
-        let mut log = RecordLog::new();
-        alloc(&mut log, 1, 100);
-        log.record(
-            3,
-            vec![Value::List(vec![Value::Handle(100), Value::Handle(200)])],
-            RecordCategory::Modify,
-            vec![],
-        );
-        log.cancel_for_handle(100);
-        assert!(log.is_empty());
+        let (desc, mut log) = (desc(), RecordLog::default());
+        alloc(&mut log, &desc, 100);
+        let list = Value::List(vec![Value::Handle(100), Value::Handle(200)]);
+        let args = [Value::Handle(300), Value::I32(0), Value::U32(2), list];
+        log.record(desc.by_name("set_list").unwrap(), &args, vec![]);
+        log.cancel(100);
+        assert_eq!(log.len(), 0);
     }
 
     fn executed(journal: &mut CallJournal, id: u64) {
@@ -327,10 +421,10 @@ mod tests {
 
     #[test]
     fn config_records_survive_cancellation() {
-        let mut log = RecordLog::new();
-        log.record(0, vec![Value::Handle(100)], RecordCategory::Config, vec![]);
-        alloc(&mut log, 1, 100);
-        log.cancel_for_handle(100);
+        let (desc, mut log) = (desc(), RecordLog::default());
+        log.record(desc.by_name("cfg").unwrap(), &[Value::Handle(100)], vec![]);
+        alloc(&mut log, &desc, 100);
+        log.cancel(100);
         assert_eq!(log.len(), 1);
     }
 }

@@ -76,7 +76,7 @@ pub struct ApiServer {
     /// and dispatches serialize on its mutex (real device contention).
     handler: SharedHandler,
     /// One entry per wire handle: its silo handle or parked payload, its
-    /// estimated bytes, LRU stamp and dependencies.
+    /// estimated bytes and LRU stamp.
     handles: HandleTable,
     records: RecordLog,
     /// LRU clock for swap victim selection — the stack's one LRU (each
@@ -182,7 +182,7 @@ impl ApiServer {
             desc,
             handler,
             handles: HandleTable::new(),
-            records: RecordLog::new(),
+            records: RecordLog::default(),
             use_clock: 0,
             reached: Vec::new(),
             counters: ServerCounters::default(),
@@ -675,23 +675,19 @@ impl ApiServer {
             {
                 if *deallocates && destroyed.unwrap_or(true) {
                     self.handles.remove(*wire);
-                    self.records.cancel_for_handle(*wire);
+                    self.records.cancel(*wire);
                     self.memory.free(self.mem_vm, *wire);
                 }
             }
         }
-        if let Some(
-            category @ (RecordCategory::Config | RecordCategory::Alloc | RecordCategory::Modify),
-        ) = func.record
-        {
-            self.record_call(func, category, &req.args, produced, alloc_bytes);
-        }
+        self.record_call(func, &req.args, produced, alloc_bytes);
         Ok((ret, outputs))
     }
 
     /// The handles a call reaches: its handle arguments (deduplicated, in
-    /// parameter order), then their recorded dependency closure — a
-    /// kernel drags in its bound buffers. Returns the set, in the buffer
+    /// parameter order), then, transitively, the handles held in their
+    /// live slots — a kernel drags in the buffers bound to it now, not
+    /// the ones it was once bound to. Returns the set, in the buffer
     /// `self.reached` keeps, and how many leading entries are arguments.
     fn reach(&mut self, func: &FunctionDesc, args: &[Value]) -> (Vec<u64>, usize) {
         let mut needed = std::mem::take(&mut self.reached);
@@ -706,11 +702,9 @@ impl ApiServer {
         let arg_count = needed.len();
         let mut i = 0;
         while i < needed.len() {
-            if let Some(entry) = self.handles.get(needed[i]) {
-                for &r in &entry.deps {
-                    if !needed.contains(&r) {
-                        needed.push(r);
-                    }
+            for wire in self.records.held_by(needed[i]) {
+                if !needed.contains(&wire) {
+                    needed.push(wire);
                 }
             }
             i += 1;
@@ -900,14 +894,13 @@ impl ApiServer {
         Ok((ret, outputs, produced))
     }
 
-    /// The record step of a succeeded `record(config|alloc|modify)` call,
-    /// executed or replayed from an image: an allocation's estimated bytes
-    /// go on its handle entry and to the accountant, a modify call's
-    /// references are learned, and the call joins the record log.
+    /// The record step of a succeeded call, executed or replayed from an
+    /// image: an allocation's estimated bytes go on its handle entry and
+    /// to the accountant, and the call joins the record log as its spec
+    /// says.
     fn record_call(
         &mut self,
         func: &FunctionDesc,
-        category: RecordCategory,
         args: &[Value],
         produced: Produced,
         alloc_bytes: Option<u64>,
@@ -918,36 +911,7 @@ impl ApiServer {
             }
             self.memory.alloc(self.mem_vm, *wire, bytes);
         }
-        if category == RecordCategory::Modify {
-            self.note_deps(func, args);
-        }
-        self.records
-            .record(func.id, args.to_vec(), category, produced);
-    }
-
-    /// Learns object→object references from a modify-record call: the
-    /// first handle parameter is the modified object, every further handle
-    /// parameter something it now references (`clSetKernelArgMem` binding
-    /// a buffer into a kernel is the canonical case). A later dispatch
-    /// naming the referrer swaps these referents back in first. Stale
-    /// entries are harmless — a dependency that is live stays put, one
-    /// that was deallocated is no longer swapped and is skipped.
-    fn note_deps(&mut self, func: &FunctionDesc, args: &[Value]) {
-        let mut referrer: Option<u64> = None;
-        for (param, arg) in func.params.iter().zip(args.iter()) {
-            if let (Transfer::Handle { .. }, Value::Handle(wire)) = (&param.transfer, arg) {
-                match referrer {
-                    None => referrer = Some(*wire),
-                    Some(holder) => {
-                        if let Some(entry) = self.handles.get_mut(holder) {
-                            if !entry.deps.contains(wire) {
-                                entry.deps.push(*wire);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.records.record(func, args, produced);
     }
 
     fn touch(&mut self, wire: u64) {
@@ -1154,7 +1118,7 @@ impl ApiServer {
             let out = self.handler.lock().dispatch(func, &silo_args)?;
             let (_, _, produced) = self.translate_outputs(func, out, Some(&record.produced))?;
             let alloc_bytes = self.alloc_bytes(func, &record.args);
-            self.record_call(func, record.category, &record.args, produced, alloc_bytes);
+            self.record_call(func, &record.args, produced, alloc_bytes);
         }
         for (wire, data) in &image.buffers {
             let entry = self.handles.get(*wire).ok_or(ServerError::Replay(format!(

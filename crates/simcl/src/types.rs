@@ -309,9 +309,11 @@ pub struct ImageDesc {
 }
 
 impl ImageDesc {
-    /// Total byte size of the image.
-    pub fn byte_len(&self) -> usize {
-        self.width * self.height * self.elem_size
+    /// Total byte size of the image, or `None` when it overflows `usize`.
+    pub fn byte_len(&self) -> Option<usize> {
+        self.width
+            .checked_mul(self.height)?
+            .checked_mul(self.elem_size)
     }
 }
 
@@ -384,6 +386,12 @@ mod tests {
             height: 32,
             elem_size: 4,
         };
-        assert_eq!(d.byte_len(), 8192);
+        assert_eq!(d.byte_len(), Some(8192));
+        let huge = ImageDesc {
+            width: (1 << 62) + 16,
+            height: 4,
+            elem_size: 1,
+        };
+        assert_eq!(huge.byte_len(), None);
     }
 }

@@ -57,28 +57,23 @@ pub enum SyncSpec {
     SyncIf(Expr),
 }
 
-/// Category used by record-and-replay VM migration (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// What record-and-replay VM migration (§4.3) keeps of a succeeded call.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordCategory {
-    /// Global configuration (e.g. `cuInit`): replayed first.
+    /// `record(config)` (e.g. `cuInit`): every call is kept.
     Config,
-    /// Object allocation (e.g. `clCreateBuffer`): tracked per handle.
+    /// `record(alloc)` (e.g. `clCreateBuffer`): kept while its object lives.
     Alloc,
-    /// Object deallocation: cancels the matching `Alloc` record.
-    Dealloc,
-    /// Object modification (e.g. `clBuildProgram`): replayed after the
-    /// allocation that created the object.
-    Modify,
-}
-
-/// Annotations inside an `element { ... }` block.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ElementSpec {
-    /// The element written to this out-parameter is a freshly allocated
-    /// object (e.g. the `event` out-param of `clEnqueueReadBuffer`).
-    pub allocates: bool,
-    /// The element passed in is deallocated by this call.
-    pub deallocates: bool,
+    /// `writes(holder, index...)`: only the latest call per slot is kept.
+    /// A slot is the values of these parameters alone, so calls that name
+    /// the same values write the same slot (`clSetKernelArg` and
+    /// `clSetKernelArgMem` share `(kernel, arg_index)`).
+    Writes {
+        /// Position of the handle parameter whose object holds the slot.
+        holder: usize,
+        /// Positions of the integer parameters that pick the slot.
+        index: Vec<usize>,
+    },
 }
 
 /// Annotations for one parameter.
@@ -88,12 +83,10 @@ pub struct ParamSpec {
     pub direction: Option<DirectionSpec>,
     /// `buffer(expr)`: the parameter points to `expr` elements.
     pub buffer: Option<Expr>,
-    /// `element { ... }`: single-element out/in pointer semantics.
-    pub element: Option<ElementSpec>,
+    /// `element { }`: single-element out pointer semantics.
+    pub element: bool,
     /// `deallocates;` on a handle parameter: the call releases the object.
     pub deallocates: bool,
-    /// `handle;` — force handle treatment for this parameter.
-    pub handle: bool,
     /// `nullable;` — `NULL` is a legal value and must round-trip as such.
     pub nullable: bool,
     /// `string;` — NUL-terminated C string.
@@ -101,9 +94,6 @@ pub struct ParamSpec {
     /// `userdata;` — opaque pointer-sized token forwarded verbatim
     /// (callback user data). Never dereferenced by the remoting stack.
     pub userdata: bool,
-    /// `zero_copy;` — placement hint; accepted and recorded but the
-    /// reference transports always copy.
-    pub zero_copy: bool,
 }
 
 /// Explicit parameter direction annotation.
@@ -126,7 +116,7 @@ pub struct FunctionSpec {
     pub sync: SyncSpec,
     /// Per-parameter annotations, keyed by parameter name.
     pub params: BTreeMap<String, ParamSpec>,
-    /// Record/replay category for migration support.
+    /// What migration records of the call.
     pub record: Option<RecordCategory>,
     /// Resource-cost estimates: `(resource name, amount expression)`.
     pub resources: Vec<(String, Expr)>,

@@ -9,7 +9,7 @@
 //! asking the developer to refine the spec — exactly the workflow in
 //! Figure 2.
 
-use crate::ast::{DirectionSpec, ElementSpec, FunctionSpec, ParamSpec};
+use crate::ast::{DirectionSpec, FunctionSpec, ParamSpec, RecordCategory};
 use crate::cparse::{Header, Prototype};
 use crate::ctypes::{CType, TypeTable};
 use crate::expr::Expr;
@@ -81,14 +81,9 @@ pub fn infer_function_spec(
                     DirectionSpec::Out
                 });
             } else if !is_const {
-                // Bare non-const pointer: single output element. If the
-                // element is itself an API object, assume fresh allocation.
-                let elem_is_handle = types.is_opaque_handle(&pointee);
+                // Bare non-const pointer: single output element.
                 pspec.direction = Some(DirectionSpec::Out);
-                pspec.element = Some(ElementSpec {
-                    allocates: elem_is_handle,
-                    deallocates: false,
-                });
+                pspec.element = true;
             } else {
                 // Const pointer with unknown size: needs refinement.
                 fspec.notes.push(format!(
@@ -154,21 +149,11 @@ pub fn render_function_spec(fspec: &FunctionSpec, types: &TypeTable) -> String {
         if let Some(buf) = &pspec.buffer {
             props.push(format!("buffer({buf});"));
         }
-        if let Some(elem) = &pspec.element {
-            let mut inner = String::new();
-            if elem.allocates {
-                inner.push_str(" allocates;");
-            }
-            if elem.deallocates {
-                inner.push_str(" deallocates;");
-            }
-            props.push(format!("element {{{inner} }}"));
+        if pspec.element {
+            props.push("element { }".to_string());
         }
         if pspec.deallocates {
             props.push("deallocates;".to_string());
-        }
-        if pspec.handle {
-            props.push("handle;".to_string());
         }
         if pspec.nullable {
             props.push("nullable;".to_string());
@@ -186,14 +171,15 @@ pub fn render_function_spec(fspec: &FunctionSpec, types: &TypeTable) -> String {
     for (rname, amount) in &fspec.resources {
         out.push_str(&format!("  resource({rname}, {amount});\n"));
     }
-    if let Some(cat) = fspec.record {
-        let name = match cat {
-            crate::ast::RecordCategory::Config => "config",
-            crate::ast::RecordCategory::Alloc => "alloc",
-            crate::ast::RecordCategory::Dealloc => "dealloc",
-            crate::ast::RecordCategory::Modify => "modify",
-        };
-        out.push_str(&format!("  record({name});\n"));
+    match &fspec.record {
+        Some(RecordCategory::Config) => out.push_str("  record(config);\n"),
+        Some(RecordCategory::Alloc) => out.push_str("  record(alloc);\n"),
+        Some(RecordCategory::Writes { holder, index }) => {
+            let keys = std::iter::once(holder).chain(index);
+            let names: Vec<&str> = keys.map(|&i| proto.params[i].name.as_str()).collect();
+            out.push_str(&format!("  writes({});\n", names.join(", ")));
+        }
+        None => {}
     }
     for note in &fspec.notes {
         out.push_str(&format!("  note(\"{}\");\n", note.replace('"', "'")));
@@ -279,7 +265,7 @@ mod tests {
         let f = infer_function_spec(h.proto("get_dev").unwrap(), &h.types, true);
         let p = &f.params["out"];
         assert_eq!(p.direction, Some(DirectionSpec::Out));
-        assert!(p.element.as_ref().unwrap().allocates);
+        assert!(p.element);
     }
 
     #[test]

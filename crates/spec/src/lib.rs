@@ -11,8 +11,8 @@
 //! 1. [`preprocess`]: comments, `#include`, `#define` constants, guards;
 //! 2. [`cparse`]: C declarations — typedefs, structs, enums, prototypes;
 //! 3. [`parse::parse_spec`]: the annotation language (sync/async
-//!    conditions, buffer sizes, handle rules, record categories, resource
-//!    estimates);
+//!    conditions, buffer sizes, handle rules, record categories and the
+//!    state slots a call `writes`, resource estimates);
 //! 4. [`infer`]: preliminary-spec generation for everything the developer
 //!    did not annotate, using type information and naming conventions;
 //! 5. [`descriptor::lower`]: validation and lowering to [`ApiDescriptor`].

@@ -12,8 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::ast::{
-    ApiSpec, DirectionSpec, ElementSpec, FunctionSpec, ParamSpec, RecordCategory, SyncSpec,
-    TypeRule,
+    ApiSpec, DirectionSpec, FunctionSpec, ParamSpec, RecordCategory, SyncSpec, TypeRule,
 };
 use crate::cparse::{parse_preprocessed, parse_prototype, Header};
 use crate::error::{Result, SpecError, SpecErrorKind};
@@ -314,17 +313,8 @@ fn parse_annotation_stmt(cur: &mut Cursor, func: &mut FunctionSpec) -> Result<()
     }
     if cur.eat_ident("parameter") {
         cur.expect_punct("(")?;
-        let pname = cur.expect_ident()?;
+        let pname = func.proto.params[expect_param(cur, func)?].name.clone();
         cur.expect_punct(")")?;
-        if !func.proto.params.iter().any(|p| p.name == pname) {
-            return Err(SpecError::at(
-                cur.loc(),
-                SpecErrorKind::Unknown(format!(
-                    "parameter `{pname}` not found in `{}`",
-                    func.proto.name
-                )),
-            ));
-        }
         cur.expect_punct("{")?;
         let mut pspec = func.params.remove(&pname).unwrap_or_default();
         parse_param_props(cur, &mut pspec)?;
@@ -339,10 +329,20 @@ fn parse_annotation_stmt(cur: &mut Cursor, func: &mut FunctionSpec) -> Result<()
         func.record = Some(match cat.as_str() {
             "config" => RecordCategory::Config,
             "alloc" => RecordCategory::Alloc,
-            "dealloc" => RecordCategory::Dealloc,
-            "modify" => RecordCategory::Modify,
             other => return Err(cur.err_here(format!("unknown record category `{other}`"))),
         });
+        return Ok(());
+    }
+    if cur.eat_ident("writes") {
+        cur.expect_punct("(")?;
+        let holder = expect_param(cur, func)?;
+        let mut index = Vec::new();
+        while cur.eat_punct(",") {
+            index.push(expect_param(cur, func)?);
+        }
+        cur.expect_punct(")")?;
+        cur.expect_punct(";")?;
+        func.record = Some(RecordCategory::Writes { holder, index });
         return Ok(());
     }
     if cur.eat_ident("resource") {
@@ -406,6 +406,21 @@ fn set_sync(cur: &Cursor, func: &mut FunctionSpec, policy: SyncSpec) -> Result<(
     Ok(())
 }
 
+/// Reads the name of one of `func`'s parameters; returns its position.
+fn expect_param(cur: &mut Cursor, func: &FunctionSpec) -> Result<usize> {
+    let name = cur.expect_ident()?;
+    let params = &func.proto.params;
+    params.iter().position(|p| p.name == name).ok_or_else(|| {
+        SpecError::at(
+            cur.loc(),
+            SpecErrorKind::Unknown(format!(
+                "parameter `{name}` not found in `{}`",
+                func.proto.name
+            )),
+        )
+    })
+}
+
 fn parse_param_props(cur: &mut Cursor, pspec: &mut ParamSpec) -> Result<()> {
     loop {
         if cur.eat_punct("}") {
@@ -423,31 +438,15 @@ fn parse_param_props(cur: &mut Cursor, pspec: &mut ParamSpec) -> Result<()> {
             }
             "element" => {
                 cur.expect_punct("{")?;
-                let mut elem = ElementSpec::default();
-                loop {
-                    if cur.eat_punct("}") {
-                        break;
-                    }
-                    let e = cur.expect_ident()?;
-                    match e.as_str() {
-                        "allocates" => elem.allocates = true,
-                        "deallocates" => elem.deallocates = true,
-                        other => {
-                            return Err(cur.err_here(format!("unknown element property `{other}`")))
-                        }
-                    }
-                    cur.expect_punct(";")?;
-                }
-                pspec.element = Some(elem);
-                // `element { ... }` blocks are not followed by `;`.
+                cur.expect_punct("}")?;
+                pspec.element = true;
+                // `element { }` blocks are not followed by `;`.
                 continue;
             }
             "deallocates" => pspec.deallocates = true,
-            "handle" => pspec.handle = true,
             "nullable" => pspec.nullable = true,
             "string" => pspec.string = true,
             "userdata" => pspec.userdata = true,
-            "zero_copy" => pspec.zero_copy = true,
             other => return Err(cur.err_here(format!("unknown parameter property `{other}`"))),
         }
         cur.expect_punct(";")?;
@@ -459,7 +458,10 @@ mod tests {
     use super::*;
     use crate::preprocess::MapResolver;
 
-    /// The exact example from Figure 4 of the paper, against a minimal cl.h.
+    /// The example from Figure 4 of the paper, against a minimal cl.h. The
+    /// figure also marks the event element `allocates;`, which this
+    /// language leaves out: the server mints a wire handle for every
+    /// handle out-element.
     const FIG4_CL_H: &str = r#"
 #ifndef CL_H
 #define CL_H 1
@@ -493,7 +495,7 @@ cl_int clEnqueueReadBuffer(
   parameter(ptr) { out; buffer(size); }
   parameter(event_wait_list) {
       buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
+  parameter(event) { out; element { } }
 }
 "#;
 
@@ -546,7 +548,7 @@ cl_int clEnqueueReadBuffer(
         assert_eq!(wl.direction, None); // inferred from const later
         let ev = f.param("event");
         assert_eq!(ev.direction, Some(DirectionSpec::Out));
-        assert!(ev.element.as_ref().unwrap().allocates);
+        assert!(ev.element);
     }
 
     #[test]
@@ -578,15 +580,20 @@ cl_int clEnqueueReadBuffer(
             r#"
 typedef struct _m *m_t;
 m_t create(unsigned long size) { record(alloc); resource(device_mem, size); }
-int destroy(m_t h) { record(dealloc); parameter(h) { deallocates; } }
+int set(m_t h, int slot, int v) { writes(h, slot); }
+int destroy(m_t h) { parameter(h) { deallocates; } }
 "#,
             &MapResolver::new(),
         )
         .unwrap();
         assert_eq!(spec.functions[0].record, Some(RecordCategory::Alloc));
         assert_eq!(spec.functions[0].resources.len(), 1);
-        assert_eq!(spec.functions[1].record, Some(RecordCategory::Dealloc));
-        assert!(spec.functions[1].param("h").deallocates);
+        let slot = RecordCategory::Writes {
+            holder: 0,
+            index: vec![1],
+        };
+        assert_eq!(spec.functions[1].record, Some(slot));
+        assert!(spec.functions[2].param("h").deallocates);
     }
 
     #[test]
