@@ -99,7 +99,8 @@ pub trait ClApi: Send + Sync {
     /// `clCreateProgramWithSource`.
     fn create_program_with_source(&self, context: ClContext, source: &str) -> ClResult<ClProgram>;
 
-    /// `clBuildProgram`.
+    /// `clBuildProgram`; `CL_INVALID_OPERATION` while the program has
+    /// kernels.
     fn build_program(&self, program: ClProgram, options: &str) -> ClResult<()>;
 
     /// `clCompileProgram` (alias of build in the subset; kept because the

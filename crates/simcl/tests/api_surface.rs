@@ -170,6 +170,22 @@ fn create_kernel_requires_build() {
 }
 
 #[test]
+fn rebuild_is_refused_while_the_program_has_kernels() {
+    let (cl, ctx, _q, _dev) = setup();
+    let program = cl
+        .create_program_with_source(ctx, simcl::kernels::builtins::SOURCE)
+        .unwrap();
+    cl.build_program(program, "").unwrap();
+    cl.build_program(program, "-O2").unwrap();
+    let kernel = cl.create_kernel(program, "vector_add").unwrap();
+    let refused = Err(ClError(simcl::status::CL_INVALID_OPERATION));
+    assert_eq!(cl.build_program(program, ""), refused);
+    assert_eq!(cl.compile_program(program, ""), refused);
+    cl.release_kernel(kernel).unwrap();
+    cl.build_program(program, "").unwrap();
+}
+
+#[test]
 fn create_kernels_in_program_returns_all() {
     let (cl, ctx, _q, _dev) = setup();
     let program = cl
